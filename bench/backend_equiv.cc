@@ -76,7 +76,8 @@ int64_t FirstMismatch(const ftx::env::DecisionLog& a, const ftx::env::DecisionLo
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
+  ftx_bench::BenchOptions options =
+      ftx_bench::ParseBenchOptions(argc, argv, {.threads_backend = true});
   const int events_per_process =
       options.scale_override > 0 ? options.scale_override : (options.full_scale ? 80 : 20);
   const int num_processes = 3;

@@ -14,7 +14,7 @@
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
-  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
+  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv, {.batch = true});
   int scale = ftx_bench::ResolveScale("magic", options);
 
   ftx_bench::Suite suite("fig8_magic", options);

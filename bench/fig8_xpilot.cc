@@ -17,7 +17,7 @@
 #include "bench/bench_util.h"
 
 int main(int argc, char** argv) {
-  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
+  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv, {.batch = true});
   int scale = ftx_bench::ResolveScale("xpilot", options);
 
   ftx_bench::Suite suite("fig8_xpilot", options);

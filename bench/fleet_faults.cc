@@ -21,9 +21,8 @@
 // measured protocol at every fault rate.
 //
 // Scale: the default run is a small smoke fleet; --full runs the ROADMAP
-// fleet-scale configuration (10,000 clients + 16 servers). The partitioned
-// event engine (--shards) and the trial pool (--jobs) never change a byte
-// of the output — CTest pins both.
+// fleet-scale configuration (10,000 clients + 16 servers). The trial pool
+// (--jobs) never changes a byte of the output — CTest pins it.
 
 #include <algorithm>
 #include <utility>
@@ -58,14 +57,13 @@ struct CrashPlan {
 };
 
 FleetRunOutcome RunFleet(const ftx_apps::FleetConfig& config, const std::string& protocol,
-                         uint64_t seed, int shards, bool audit, bool critical_path,
+                         uint64_t seed, bool audit, bool critical_path,
                          const std::string& timeseries_path,
                          const std::vector<CrashPlan>& crashes) {
   ftx::ComputationOptions copt;
   copt.seed = seed;
   copt.protocol = protocol;
   copt.store = ftx::StoreKind::kRio;
-  copt.shards = shards;
   copt.lean_trace = true;  // fleet scale: skip dense clock snapshots (audit overrides)
   copt.audit = audit;
   copt.critical_path = critical_path;
@@ -81,7 +79,7 @@ FleetRunOutcome RunFleet(const ftx_apps::FleetConfig& config, const std::string&
     // executed work, committed-ledger progress, and the running
     // Dwork-Halpern-Waarts efficiency. All simulated (or
     // simulated-determined) quantities, so the export stays byte-identical
-    // across --jobs/--shards; the final efficiency sample equals the row's
+    // across --jobs; the final efficiency sample equals the row's
     // end-of-run efficiency (the checker cross-validates the two).
     tsdb->SetMeta("workload", "fleet");
     std::vector<ftx_apps::FleetServer*> servers;
@@ -218,7 +216,6 @@ int main(int argc, char** argv) {
     }
   }
   const int num_processes = config.num_processes();
-  const int shards = std::clamp(options.shards > 0 ? options.shards : 8, 1, num_processes);
 
   // Crash counts per row: 0, then ~0.5%, ~1%, ~2% of the fleet. Each row's
   // crash set is a prefix of the next one's, so added faults only ever add
@@ -243,16 +240,16 @@ int main(int argc, char** argv) {
       "crashes", "efficiency", "executed", "rollbacks", "violations"));
 
   for (const char* protocol : {"cpv-2pc", "cbndv-2pc"}) {
-    suite.AddRow([protocol, config, shards, crash_counts](ftx_bench::RowContext& ctx) {
+    suite.AddRow([protocol, config, crash_counts](ftx_bench::RowContext& ctx) {
       const uint64_t seed = ctx.SeedOr(90000 + static_cast<uint64_t>(ctx.row_index));
       const int64_t necessary =
           2LL * config.num_clients * config.requests_per_client;
 
       // Calibration: the fault-free run is the first curve point and fixes
       // the time window the crash plan draws from.
-      const FleetRunOutcome baseline = RunFleet(config, protocol, seed, shards,
-                                                ctx.options->audit, /*critical_path=*/false,
-                                                /*timeseries_path=*/{}, {});
+      const FleetRunOutcome baseline =
+          RunFleet(config, protocol, seed, ctx.options->audit, /*critical_path=*/false,
+                   /*timeseries_path=*/{}, {});
 
       // One master crash list per protocol; row r injects its first
       // crash_counts[r] entries. Times are uniform over the middle 80% of
@@ -277,8 +274,8 @@ int main(int argc, char** argv) {
                           [&](int64_t i, uint64_t) {
                             const std::vector<CrashPlan> prefix(
                                 master.begin(), master.begin() + crash_counts[static_cast<size_t>(i) + 1]);
-                            return RunFleet(config, protocol, seed, shards,
-                                            ctx.options->audit, /*critical_path=*/i == last,
+                            return RunFleet(config, protocol, seed, ctx.options->audit,
+                                            /*critical_path=*/i == last,
                                             i == last ? ctx.timeseries_path : std::string(),
                                             prefix);
                           });

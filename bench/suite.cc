@@ -46,7 +46,7 @@ constexpr FlagSpec kBenchFlags[] = {
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
-    {"--backend", "NAME", "ftx::env execution backend: sim|threads (default: bench's choice)",
+    {"--backend", "NAME", "execution backend: sim, or threads (backend_equiv only)",
      [](BenchOptions* options, const char* value) {
        if (std::strcmp(value, "sim") != 0 && std::strcmp(value, "threads") != 0) {
          std::fprintf(stderr, "invalid --backend: %s (want sim or threads)\n", value);
@@ -54,12 +54,10 @@ constexpr FlagSpec kBenchFlags[] = {
        }
        options->backend = value;
      }},
-    {"--batch", "N", "group-commit window size for DC-disk runs (records per sync; 0 = off)",
+    {"--batch", "N", "group-commit window for DC-disk runs (Fig. 8, torture_commit; 0 = off)",
      [](BenchOptions* options, const char* value) {
        options->batch = std::strtoll(value, nullptr, 10);
      }},
-    {"--shards", "N", "partitioned event-engine shards (byte-identical results; 0 = default)",
-     [](BenchOptions* options, const char* value) { options->shards = std::atoi(value); }},
     {"--log-level", "LEVEL", "error|warning|info|debug (default warning)",
      [](BenchOptions* options, const char* value) {
        ftx::LogLevel level;
@@ -83,6 +81,17 @@ const FlagSpec* FindFlag(const char* name) {
   return nullptr;
 }
 
+// Whether a bench that reads `reads` honours `flag` with `value`.
+bool Honours(const BenchReads& reads, const FlagSpec& flag, const char* value) {
+  if (std::strcmp(flag.name, "--batch") == 0) {
+    return reads.batch;
+  }
+  if (std::strcmp(flag.name, "--backend") == 0) {
+    return reads.threads_backend || std::strcmp(value, "sim") == 0;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string BenchUsageText(const char* argv0) {
@@ -96,7 +105,7 @@ std::string BenchUsageText(const char* argv0) {
   return text;
 }
 
-BenchOptions ParseBenchOptions(int argc, char** argv) {
+BenchOptions ParseBenchOptions(int argc, char** argv, BenchReads reads) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const FlagSpec* flag = FindFlag(argv[i]);
@@ -115,6 +124,10 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       value = argv[++i];
     }
     flag->apply(&options, value);
+    if (!Honours(reads, *flag, value)) {
+      std::fprintf(stderr, "%s does not read %s %s\n", argv[0], flag->name, value);
+      std::exit(2);
+    }
   }
   return options;
 }

@@ -52,17 +52,14 @@ namespace ftx_bench {
 //                  min/median over the samples (simulated rows ignore it)
 //   --prof PATH    write a collapsed-stack host-time profile of the run
 //                  (ftx::prof; FlameGraph / speedscope compatible)
-//   --backend B    execution backend for benches that support the ftx::env
-//                  seam: sim | threads (default: the bench's own choice —
-//                  backend_equiv runs both and byte-compares)
+//   --backend B    execution backend: sim | threads. Every bench runs on the
+//                  simulator; only backend_equiv also runs threads (its
+//                  default runs both and byte-compares)
 //   --batch N      group-commit window size for DC-disk runs (records per
 //                  sync window; 0 or 1 = the one-sync-pair-per-commit path)
-//   --shards N     partitioned event-engine shard count for benches that
-//                  build fleet-scale computations (results byte-identical
-//                  for every value; 0 = the bench's own choice)
 //   --log-level L  error|warning|info|debug (default warning)
-// Unknown flags, missing values, and bad --log-level names print the usage
-// table and exit 2.
+// Unknown flags, missing values, bad --log-level names, and flags the bench
+// does not read (see BenchReads) exit 2.
 struct BenchOptions {
   bool full_scale = false;
   int scale_override = 0;
@@ -76,11 +73,17 @@ struct BenchOptions {
   std::string prof_path;   // collapsed-stack profile output; empty = prof off
   std::string backend;    // "sim" | "threads"; empty = the bench's default
   int64_t batch = 0;      // group-commit window size; <= 1 = batching off
-  int shards = 0;         // event-engine shards; 0 = the bench's own choice
   std::string log_level;  // as given; applied via ftx::SetLogLevel at parse
 };
 
-BenchOptions ParseBenchOptions(int argc, char** argv);
+// The flags only some benches read. A bench names the ones it reads; given
+// to any other bench, they exit 2 instead of being silently ignored.
+struct BenchReads {
+  bool batch = false;            // --batch
+  bool threads_backend = false;  // --backend threads (--backend sim is always true)
+};
+
+BenchOptions ParseBenchOptions(int argc, char** argv, BenchReads reads = {});
 
 // The generated usage table (tests pin that every kBenchFlags entry renders).
 std::string BenchUsageText(const char* argv0);

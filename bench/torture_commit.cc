@@ -37,7 +37,7 @@ constexpr WorkloadDepth kDepths[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv);
+  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(argc, argv, {.batch = true});
 
   ftx_bench::Suite suite("torture_commit", options);
   suite.SetMeta("mode", options.full_scale ? "full" : "smoke");

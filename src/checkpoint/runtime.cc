@@ -328,7 +328,7 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
         FTX_PROF_SCOPE("commit.reprotect");
         segment_->Commit();
       }
-      communicated_mask_ = 0;  // dependencies up to here ride this window
+      communicated_.Clear();  // dependencies up to here ride this window
       ++stats_.commits;
       if (coordinated) {
         ++stats_.coordinated_commits;
@@ -372,7 +372,7 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     segment_->Commit();
   }
   env_.transport->ReleaseAllDelivered(pid_);
-  communicated_mask_ = 0;  // dependencies up to here are now stable
+  communicated_.Clear();  // dependencies up to here are now stable
 
   ++stats_.commits;
   if (coordinated) {
@@ -586,7 +586,7 @@ ftx::Duration Runtime::Recover() {
   step_count_ = committed_.step_count;
   input_cursor_ = committed_.input_cursor;
   nd_consumed_ = committed_.nd_consumed;
-  communicated_mask_ = 0;
+  communicated_.Clear();
   // Asynchronously-written log records that never reached stable storage
   // are lost with the crash; reexecution runs those events live.
   size_t survivors = std::max(flushed_log_records_, nd_consumed_);
@@ -660,7 +660,7 @@ ftx::Duration Runtime::RestartFromScratch() {
   nd_consumed_ = 0;
   flushed_log_records_ = 0;
   unflushed_log_bytes_ = 0;
-  communicated_mask_ = 0;
+  communicated_.Clear();
   committed_ = CommittedMeta{};
   pending_commit_ = false;
   pending_overhead_ = ftx::Duration();
@@ -802,9 +802,7 @@ void Runtime::Send(int dst, ftx::Bytes payload) {
   }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kSend);
   Charge(costs_.syscall_service);
-  if (dst >= 0 && dst < 64) {
-    communicated_mask_ |= 1ULL << dst;
-  }
+  communicated_.Note(dst);
   int64_t message_id = env_.transport->Send(pid_, dst, std::move(payload));
   PostEvent(ftx_proto::AppEvent::kSend, d, message_id, false, "send");
 }
@@ -855,9 +853,7 @@ std::optional<ftx::env::Message> Runtime::TryReceive() {
     return std::nullopt;
   }
   ++stats_.receives;
-  if (msg->src >= 0 && msg->src < 64) {
-    communicated_mask_ |= 1ULL << msg->src;
-  }
+  communicated_.Note(msg->src);
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kReceive);
   Charge(costs_.syscall_service);
   bool logged = d.log_event;

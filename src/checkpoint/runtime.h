@@ -31,6 +31,7 @@
 #include "src/env/env.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
+#include "src/protocol/coordination.h"
 #include "src/protocol/protocol.h"
 #include "src/recovery/output_recorder.h"
 #include "src/sim/kernel.h"
@@ -190,9 +191,9 @@ class Runtime : public ProcessEnv {
   void MarkFaultActivation() override;
 
  public:
-  // Processes this one has sent to or received from since its last commit
-  // (bit per pid); drives Coordinated Checkpointing's participant closure.
-  uint64_t communicated_mask() const { return communicated_mask_; }
+  // Processes this one has sent to or received from since its last commit;
+  // drives Coordinated Checkpointing's participant closure.
+  const ftx_proto::CommunicationRecord& communicated() const { return communicated_; }
 
  private:
   struct NdLogRecord {
@@ -322,7 +323,7 @@ class Runtime : public ProcessEnv {
   size_t nd_consumed_ = 0;
   size_t flushed_log_records_ = 0;   // durable prefix of nd_log_
   int64_t unflushed_log_bytes_ = 0;  // cost of the pending async batch
-  uint64_t communicated_mask_ = 0;
+  ftx_proto::CommunicationRecord communicated_;
 
   int64_t step_count_ = 0;
   bool pending_commit_ = false;

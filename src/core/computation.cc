@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/log.h"
+#include "src/protocol/coordination.h"
 
 namespace ftx {
 
@@ -13,16 +14,13 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
   FTX_CHECK(!apps_.empty());
   const int n = num_processes();
 
-  // Shard layout for the partitioned engine. Results are byte-identical for
-  // every shard count; the default (1) is exactly the monolithic engine.
-  const ftx_sim::ShardPlan plan = ftx_sim::ShardPlan::Uniform(n, options_.shards);
-  sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed, plan);
+  sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed);
   network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n, options_.network);
   // The runtimes consume the simulator/network only through the env::sim
   // adapters (pure forwarding — the Computation runner IS the sim backend).
   env_clock_ = std::make_unique<ftx::env::SimClock>(sim_.get());
   env_transport_ = std::make_unique<ftx::env::SimTransport>(network_.get());
-  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), plan, options_.kernel_limits);
+  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), n, options_.kernel_limits);
   // The audit needs full vector clocks, so it overrides lean_trace.
   ftx_sm::TraceOptions trace_options;
   trace_options.record_clocks = !options_.lean_trace || options_.audit;
@@ -77,8 +75,8 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
     tsdb_->SetMeta("processes", static_cast<int64_t>(n));
     tsdb_->SetMeta("seed", static_cast<int64_t>(options_.seed));
     // Core lanes: simulator progress, fleet-wide DC activity, and failure
-    // state. Every one is a simulated quantity — invariant across shard
-    // layouts — so the default export honors the byte-identity contract.
+    // state. Every one is a simulated quantity, so the export is
+    // byte-identical for any --jobs.
     tsdb_->AddCounter("sim.events_executed", [this]() { return sim_->events_executed(); });
     tsdb_->AddCounter("dc.commits", [this]() {
       int64_t total = 0;
@@ -102,17 +100,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       }
       return static_cast<double>(down);
     });
-    if (options_.timeseries_options.shard_lanes && sim_->num_shards() > 1) {
-      // Layout-dependent lanes, opt-in only (see TimeSeriesOptions).
-      tsdb_->AddCounter("sim.cross_shard_events",
-                        [this]() { return sim_->cross_shard_events(); });
-      for (int s = 0; s < sim_->num_shards(); ++s) {
-        tsdb_->AddCounter("shard" + std::to_string(s) + ".events_executed",
-                          [this, s]() { return sim_->ShardEventsExecuted(s); });
-      }
-    }
-    sim_->SetEventHook(
-        [this](int shard, TimePoint t) { (void)shard; tsdb_->OnSimTime(t.nanos()); });
+    sim_->SetEventHook([this](TimePoint t) { tsdb_->OnSimTime(t.nanos()); });
   }
 
   blocked_.assign(static_cast<size_t>(n), false);
@@ -260,7 +248,7 @@ void Computation::SchedulePump(int pid, Duration delay) {
     delay = busy_gap;
   }
   int64_t token = ++pump_token_[static_cast<size_t>(pid)];
-  sim_->ScheduleAfterFor(pid, delay, [this, pid, token]() {
+  sim_->ScheduleAfter(delay, [this, pid, token]() {
     if (pump_token_[static_cast<size_t>(pid)] == token) {
       Pump(pid);
     }
@@ -302,7 +290,7 @@ void Computation::Pump(int pid) {
         return;
       }
       ++recovery_attempts_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfterFor(pid, options_.recovery_delay, [this, pid]() {
+      sim_->ScheduleAfter(options_.recovery_delay, [this, pid]() {
         auto& failed = *runtimes_[static_cast<size_t>(pid)];
         if (failed.alive()) {
           return;  // already recovered by someone else
@@ -349,53 +337,20 @@ void Computation::Pump(int pid) {
 void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope scope) {
   auto& init_rt = *runtimes_[static_cast<size_t>(initiator)];
 
-  std::vector<int> participants;
-  if (scope == ftx_proto::CoordinationScope::kCommunicated) {
-    // Koo-Toueg-style dependency closure: include every process that has
-    // communicated (sent to or received from), directly or transitively,
-    // with a member of the set since its own last commit. The closure runs
-    // on the runtimes' 64-bit communication masks, so this scope (CPV-2PC
-    // family) caps at 64 processes; fleet-scale protocols use kNdDirty.
-    FTX_CHECK_MSG(num_processes() <= 64,
-                  "kCommunicated coordination scope supports at most 64 processes (got %d)",
-                  num_processes());
-    uint64_t members = 1ULL << initiator;
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (int pid = 0; pid < num_processes(); ++pid) {
-        auto& rt = *runtimes_[static_cast<size_t>(pid)];
-        if (!rt.alive() || (members & (1ULL << pid)) != 0) {
-          continue;
-        }
-        if ((rt.communicated_mask() & members) != 0) {
-          members |= 1ULL << pid;
-          grew = true;
-        }
-      }
-    }
-    for (int pid = 0; pid < num_processes(); ++pid) {
-      if (pid != initiator && (members & (1ULL << pid)) != 0) {
-        participants.push_back(pid);
-      }
-    }
-  } else {
-    const bool only_dirty = scope == ftx_proto::CoordinationScope::kNdDirty;
-    for (int pid = 0; pid < num_processes(); ++pid) {
-      if (pid == initiator) {
-        continue;
-      }
-      auto& rt = *runtimes_[static_cast<size_t>(pid)];
-      if (!rt.alive()) {
-        continue;
-      }
-      if (!only_dirty || rt.protocol().HasUncommittedNd()) {
-        participants.push_back(pid);
-      }
-    }
-    if (only_dirty && participants.empty() && !init_rt.protocol().HasUncommittedNd()) {
-      return;  // nothing anywhere to preserve
-    }
+  ftx_proto::ParticipantQuery query;
+  query.num_processes = num_processes();
+  query.eligible = [this](int pid) { return runtimes_[static_cast<size_t>(pid)]->alive(); };
+  query.has_uncommitted_nd = [this](int pid) {
+    return runtimes_[static_cast<size_t>(pid)]->protocol().HasUncommittedNd();
+  };
+  query.communicated = [this](int pid) -> const ftx_proto::CommunicationRecord& {
+    return runtimes_[static_cast<size_t>(pid)]->communicated();
+  };
+  const std::vector<int> participants =
+      ftx_proto::CoordinationParticipants(initiator, scope, query);
+  if (scope == ftx_proto::CoordinationScope::kNdDirty && participants.empty() &&
+      !init_rt.protocol().HasUncommittedNd()) {
+    return;  // nothing anywhere to preserve
   }
 
   // One 2PC round: prepare out, participants commit, acks back, coordinator
@@ -452,7 +407,7 @@ void Computation::NoteRecovery(int pid, Duration cost) {
 }
 
 void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay) {
-  sim_->ScheduleAtFor(pid, at, [this, pid, recovery_delay]() {
+  sim_->ScheduleAt(at, [this, pid, recovery_delay]() {
     auto& rt = *runtimes_[static_cast<size_t>(pid)];
     if (!rt.alive() || rt.done()) {
       return;
@@ -465,7 +420,7 @@ void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_d
       critical_path_->OnCrash(pid);
     }
     ++pump_token_[static_cast<size_t>(pid)];  // cancel any scheduled pump
-    sim_->ScheduleAfterFor(pid, recovery_delay, [this, pid]() {
+    sim_->ScheduleAfter(recovery_delay, [this, pid]() {
       auto& failed = *runtimes_[static_cast<size_t>(pid)];
       if (failed.alive()) {
         return;
@@ -486,7 +441,7 @@ void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
     // Without Rio (or a disk log), the OS crash destroys the segment, the
     // undo log, and every checkpoint: the application can only restart from
     // scratch — all committed work is forfeit.
-    sim_->ScheduleAtFor(pid, at, [this, pid, reboot_delay]() {
+    sim_->ScheduleAt(at, [this, pid, reboot_delay]() {
       auto& rt = *runtimes_[static_cast<size_t>(pid)];
       if (!rt.alive() || rt.done()) {
         return;
@@ -497,7 +452,7 @@ void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
         critical_path_->OnCrash(pid);
       }
       ++pump_token_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfterFor(pid, reboot_delay, [this, pid]() {
+      sim_->ScheduleAfter(reboot_delay, [this, pid]() {
         auto& failed = *runtimes_[static_cast<size_t>(pid)];
         if (failed.alive()) {
           return;

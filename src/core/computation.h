@@ -57,12 +57,6 @@ struct ComputationOptions {
   ftx_sim::NetworkOptions network;
   ftx_sim::KernelLimits kernel_limits;
   ftx_store::DiskParameters disk;
-  // Number of contiguous-pid shards for the partitioned event engine
-  // (src/sim/partition.h). Simulated results are byte-identical for every
-  // value — the merge front replays the monolithic event order — so this is
-  // purely a fleet-scale layout knob. Uniform partition; must be in
-  // [1, num_processes].
-  int shards = 1;
   // Fleet-scale trace mode: keep the replayable per-process event log but
   // skip the dense vector-clock snapshots (O(N) per event — quadratic
   // memory at 10k processes). Commit/rollback replay is unaffected;
@@ -108,9 +102,7 @@ struct ComputationOptions {
   // Simulated-time telemetry (src/obs/tsdb/): sample every registered
   // counter/gauge series on a fixed sim-time cadence, driven by the
   // simulator's pre-event hook. Strictly observational (the hook only reads
-  // state), so simulated quantities are byte-identical with it on or off,
-  // and the sampled series itself is byte-identical for any shards value
-  // unless timeseries_options.shard_lanes opts into per-shard columns.
+  // state), so simulated quantities are byte-identical with it on or off.
   // Enabled by `timeseries` or by a non-empty timeseries_path (the JSONL
   // export Run() writes there).
   bool timeseries = false;

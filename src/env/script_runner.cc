@@ -15,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/env/sim_env.h"
 #include "src/env/thread_env.h"
+#include "src/protocol/coordination.h"
 #include "src/protocol/protocol.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -117,7 +118,7 @@ class ScriptExecutor {
         media_(std::move(media)),
         kills_(std::move(kills)),
         quiesce_(std::move(quiesce)),
-        communicated_(static_cast<size_t>(options.num_processes), 0),
+        communicated_(static_cast<size_t>(options.num_processes)),
         committed_count_(static_cast<size_t>(options.num_processes), 0),
         staged_(static_cast<size_t>(options.num_processes), 0),
         delivered_(static_cast<size_t>(options.num_processes)) {
@@ -227,8 +228,8 @@ class ScriptExecutor {
     if (ev.kind == ftx_sm::EventKind::kReceive && ev.message_id >= 0) {
       auto it = sender_of_.find(ev.message_id);
       if (it != sender_of_.end()) {
-        communicated_[static_cast<size_t>(ev.process)] |= 1ULL << it->second;
-        communicated_[static_cast<size_t>(it->second)] |= 1ULL << ev.process;
+        communicated_[static_cast<size_t>(ev.process)].Note(it->second);
+        communicated_[static_cast<size_t>(it->second)].Note(ev.process);
       }
     }
   }
@@ -259,7 +260,7 @@ class ScriptExecutor {
     transport_->ReleaseAllDelivered(p);
     delivered_[static_cast<size_t>(p)].clear();
     protocols_[static_cast<size_t>(p)]->OnCommitted();
-    communicated_[static_cast<size_t>(p)] = 0;
+    communicated_[static_cast<size_t>(p)].Clear();
     ++log_.commits;
     log_.lines.push_back(Format("commit p%d g=%lld n=%lld", p,
                                 static_cast<long long>(atomic_group),
@@ -277,7 +278,7 @@ class ScriptExecutor {
     ++committed_count_[static_cast<size_t>(p)];
     ++staged_[static_cast<size_t>(p)];
     protocols_[static_cast<size_t>(p)]->OnCommitted();
-    communicated_[static_cast<size_t>(p)] = 0;
+    communicated_[static_cast<size_t>(p)].Clear();
     ++log_.commits;
     log_.lines.push_back(Format("commit p%d g=%lld n=%lld", p,
                                 static_cast<long long>(atomic_group),
@@ -306,35 +307,20 @@ class ScriptExecutor {
                                 static_cast<long long>(committed_count_[static_cast<size_t>(p)])));
   }
 
-  // Mirrors ScriptReplay's participant selection (scope closure, ascending
-  // pid order, prepare/ack bracketing, initiator last).
+  // Mirrors ScriptReplay's round (same participant selection, prepare/ack
+  // bracketing, initiator last).
   void CoordinatedCommit(int initiator, ftx_proto::CoordinationScope scope) {
     ++log_.coordinated_rounds;
     const int64_t group = next_group_++;
-    uint64_t members = 1ULL << initiator;
-    if (scope == ftx_proto::CoordinationScope::kCommunicated) {
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (int pid = 0; pid < num_processes_; ++pid) {
-          if ((members & (1ULL << pid)) != 0) continue;
-          if ((communicated_[static_cast<size_t>(pid)] & members) != 0) {
-            members |= 1ULL << pid;
-            grew = true;
-          }
-        }
-      }
-    }
-    for (int pid = 0; pid < num_processes_; ++pid) {
-      if (pid == initiator) continue;
-      if (scope == ftx_proto::CoordinationScope::kNdDirty &&
-          !protocols_[static_cast<size_t>(pid)]->HasUncommittedNd()) {
-        continue;
-      }
-      if (scope == ftx_proto::CoordinationScope::kCommunicated &&
-          (members & (1ULL << pid)) == 0) {
-        continue;
-      }
+    ftx_proto::ParticipantQuery query;
+    query.num_processes = num_processes_;
+    query.has_uncommitted_nd = [this](int pid) {
+      return protocols_[static_cast<size_t>(pid)]->HasUncommittedNd();
+    };
+    query.communicated = [this](int pid) -> const ftx_proto::CommunicationRecord& {
+      return communicated_[static_cast<size_t>(pid)];
+    };
+    for (int pid : ftx_proto::CoordinationParticipants(initiator, scope, query)) {
       const int64_t prepare = next_coord_message_++;
       log_.lines.push_back(Format("2pc-prep p%d->p%d m=%lld", initiator, pid,
                                   static_cast<long long>(prepare)));
@@ -392,7 +378,7 @@ class ScriptExecutor {
     // committed point (the decision sequence does not re-execute from
     // there; see the header).
     protocols_[static_cast<size_t>(p)]->OnCommitted();
-    communicated_[static_cast<size_t>(p)] = 0;
+    communicated_[static_cast<size_t>(p)].Clear();
     ++log_.rollbacks;
     log_.lines.push_back(Format("rollback p%d durable=%lld redelivered=%lld", p,
                                 static_cast<long long>(records),
@@ -409,7 +395,7 @@ class ScriptExecutor {
   std::function<void()> quiesce_;
 
   std::vector<std::unique_ptr<ftx_proto::Protocol>> protocols_;
-  std::vector<uint64_t> communicated_;
+  std::vector<ftx_proto::CommunicationRecord> communicated_;
   std::vector<int64_t> committed_count_;
   std::vector<int64_t> staged_;  // open-window records per process (batched)
   // Unlogged deliveries since each process's last commit (what a rollback

@@ -43,8 +43,7 @@
 // Like every observer in src/obs/, the tracker is strictly read-only: it
 // never charges simulated time or schedules simulator work, so simulated
 // quantities are byte-identical with it on or off, and its report is a pure
-// function of the (layout-invariant) event order — byte-identical for any
-// --jobs/--shards.
+// function of the event order — byte-identical for any --jobs.
 
 #ifndef FTX_SRC_OBS_CAUSAL_CRITICAL_PATH_H_
 #define FTX_SRC_OBS_CAUSAL_CRITICAL_PATH_H_

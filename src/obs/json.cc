@@ -178,7 +178,7 @@ namespace {
 struct Parser {
   std::string_view text;
   size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   bool Fail(const std::string& message) {
     char where[48];

@@ -52,7 +52,7 @@ struct TraceEvent {
   // finish pair up on (category, name, flow_id).
   int64_t flow_id = -1;
   // Counter series for 'C' phases (name -> sampled value), empty otherwise.
-  std::vector<std::pair<std::string, double>> counter_values;
+  std::vector<std::pair<std::string, double>> counter_values{};
 };
 
 class Tracer {

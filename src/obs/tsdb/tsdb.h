@@ -18,21 +18,13 @@
 //    in (prev_event_time, t) exists. A sample at boundary B therefore
 //    means "state after every event at or before B", a pure function of
 //    the event sequence.
-//  * The simulator's merge front replays the identical global event order
-//    for any shard count, and trial parallelism (--jobs) never enters a
-//    single computation, so the sampled series — and the exported JSONL —
-//    are byte-identical for any --jobs/--shards combination, provided no
-//    layout-dependent columns are registered (see shard lanes below).
+//  * Trial parallelism (--jobs) never enters a single computation, so the
+//    sampled series — and the exported JSONL — are byte-identical for any
+//    --jobs.
 //  * Probes only read state. The hook costs one null check when no tsdb is
 //    installed and never schedules simulator work, charges simulated time,
 //    or perturbs the RNG: all simulated quantities are byte-identical with
 //    telemetry on or off (CTest-asserted).
-//
-// Shard lanes: per-shard columns ("shard3.events_executed") and
-// cross-shard traffic are genuinely layout-dependent — shards 1 vs 16 are
-// DIFFERENT quantities even though the simulation is byte-identical. They
-// are therefore opt-in (TimeSeriesOptions::shard_lanes) and excluded from
-// the default export that the determinism battery byte-compares.
 //
 // Export: JSON Lines. Line 1 is a header object carrying the schema name,
 // cadence, column table (name + kind, ordered by MetricNameLess so the
@@ -68,10 +60,6 @@ struct TimeSeriesOptions {
   // are evicted (totals keep counting so the export can say how many were
   // dropped). Eviction depends only on sample count — still deterministic.
   int64_t capacity = 65536;
-  // Register layout-dependent per-shard lanes (see header comment). Off by
-  // default so the exported JSONL upholds the --shards byte-identity
-  // contract.
-  bool shard_lanes = false;
 };
 
 class TimeSeriesDb {
@@ -92,9 +80,8 @@ class TimeSeriesDb {
   void AddCounter(std::string name, std::function<int64_t()> probe);
   void AddGauge(std::string name, std::function<double()> probe);
 
-  // Header metadata ("protocol", "workload", ...). Keep layout knobs
-  // (shards, jobs) out of it — the determinism battery byte-compares the
-  // export across those.
+  // Header metadata ("protocol", "workload", ...). Keep --jobs out of it —
+  // the determinism battery byte-compares the export across job counts.
   void SetMeta(std::string key, Json value);
 
   // --- sampling (driven by the simulator hook) ---

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/protocol/coordination.h"
 #include "src/protocol/protocol.h"
 
 namespace ftx_proto {
@@ -30,7 +31,7 @@ AppEvent ToAppEvent(ftx_sm::EventKind kind) {
 class Replayer {
  public:
   Replayer(int num_processes, std::string_view protocol_name)
-      : result_(num_processes), communicated_(static_cast<size_t>(num_processes), 0) {
+      : result_(num_processes), communicated_(static_cast<size_t>(num_processes)) {
     for (int p = 0; p < num_processes; ++p) {
       protocols_.push_back(MakeProtocolByName(protocol_name));
     }
@@ -69,8 +70,8 @@ class Replayer {
     if (ev.kind == ftx_sm::EventKind::kReceive && ev.message_id >= 0) {
       auto it = sender_of_.find(ev.message_id);
       if (it != sender_of_.end()) {
-        communicated_[static_cast<size_t>(ev.process)] |= 1ULL << it->second;
-        communicated_[static_cast<size_t>(it->second)] |= 1ULL << ev.process;
+        communicated_[static_cast<size_t>(ev.process)].Note(it->second);
+        communicated_[static_cast<size_t>(it->second)].Note(ev.process);
       }
     }
   }
@@ -78,40 +79,22 @@ class Replayer {
   void Commit(int pid, int64_t atomic_group) {
     result_.trace.Append(pid, ftx_sm::EventKind::kCommit, -1, false, "", atomic_group);
     protocols_[static_cast<size_t>(pid)]->OnCommitted();
-    communicated_[static_cast<size_t>(pid)] = 0;
+    communicated_[static_cast<size_t>(pid)].Clear();
     ++result_.total_commits;
   }
 
   void CoordinatedCommit(int initiator, CoordinationScope scope) {
     ++result_.coordinated_rounds;
     int64_t group = next_group_++;
-    uint64_t members = 1ULL << initiator;
-    if (scope == CoordinationScope::kCommunicated) {
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (int pid = 0; pid < result_.trace.num_processes(); ++pid) {
-          if ((members & (1ULL << pid)) != 0) {
-            continue;
-          }
-          if ((communicated_[static_cast<size_t>(pid)] & members) != 0) {
-            members |= 1ULL << pid;
-            grew = true;
-          }
-        }
-      }
-    }
-    for (int pid = 0; pid < result_.trace.num_processes(); ++pid) {
-      if (pid == initiator) {
-        continue;
-      }
-      if (scope == CoordinationScope::kNdDirty &&
-          !protocols_[static_cast<size_t>(pid)]->HasUncommittedNd()) {
-        continue;
-      }
-      if (scope == CoordinationScope::kCommunicated && (members & (1ULL << pid)) == 0) {
-        continue;
-      }
+    ParticipantQuery query;
+    query.num_processes = result_.trace.num_processes();
+    query.has_uncommitted_nd = [this](int pid) {
+      return protocols_[static_cast<size_t>(pid)]->HasUncommittedNd();
+    };
+    query.communicated = [this](int pid) -> const CommunicationRecord& {
+      return communicated_[static_cast<size_t>(pid)];
+    };
+    for (int pid : CoordinationParticipants(initiator, scope, query)) {
       int64_t prepare = next_coord_message_++;
       result_.trace.Append(initiator, ftx_sm::EventKind::kSend, prepare);
       result_.trace.Append(pid, ftx_sm::EventKind::kReceive, prepare, /*logged=*/true, "2pc");
@@ -125,7 +108,7 @@ class Replayer {
 
   ScriptReplayResult result_;
   std::vector<std::unique_ptr<Protocol>> protocols_;
-  std::vector<uint64_t> communicated_;
+  std::vector<CommunicationRecord> communicated_;
   std::map<int64_t, int> sender_of_;
   int64_t next_coord_message_ = 1LL << 40;
   int64_t next_group_ = 1;

@@ -15,13 +15,9 @@
 // User input (read from a tty) and network receives live in the runtime's
 // context API, not here.
 //
-// Fleet-scale layout: kernel state is stored in per-shard blocks following
-// the engine's ShardPlan — each shard owns the state and replay logs of its
-// contiguous pid range, with its own syscall/disk tallies. Global disk
-// accounting (the blocks are one shared disk) is kept incrementally per
-// shard instead of summed over every process on each write, so a
-// 10k-process fleet pays O(num_shards) per disk-full check, not O(N). The
-// numbers are identical to the monolithic sum by construction.
+// Every process shares one simulated disk. Its usage is kept as one
+// running total, updated on each write and reconstruction, so a disk-full
+// check costs O(1) instead of a sum over every process.
 
 #ifndef FTX_SRC_SIM_KERNEL_H_
 #define FTX_SRC_SIM_KERNEL_H_
@@ -36,7 +32,6 @@
 #include "src/common/sim_time.h"
 #include "src/env/env.h"
 #include "src/obs/metrics.h"
-#include "src/sim/partition.h"
 
 namespace ftx_sim {
 
@@ -80,13 +75,7 @@ class KernelSim {
  public:
   // The kernel is backend-agnostic: it only needs a clock (time-of-day and
   // its transient-ND perturbation source), not the simulator itself.
-  // Monolithic layout: one state block owning all pids.
   KernelSim(ftx::env::Clock* clock, int num_processes, KernelLimits limits = {});
-
-  // Partitioned layout: one state block per shard of `plan`. Syscall
-  // results are identical for every plan — only locality and the tallies
-  // reported per shard change.
-  KernelSim(ftx::env::Clock* clock, ShardPlan plan, KernelLimits limits);
 
   // --- syscalls (all record into the process's replay log) ---
 
@@ -115,42 +104,25 @@ class KernelSim {
   // log to that point (reexecution re-appends from there).
   ftx::Status ReconstructFor(int pid, size_t record_count);
 
-  int64_t disk_blocks_free() const;
-
-  // --- per-shard telemetry ---
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t ShardDiskBlocksUsed(int shard) const;
-  int64_t ShardSyscalls(int shard) const;
+  int64_t disk_blocks_free() const { return limits_.disk_blocks_total - disk_blocks_used_; }
 
   // Exposes syscall-layer counters through a metrics registry
   // ("kernel.syscalls", "kernel.reconstructions", "kernel.disk_blocks_free").
   void BindMetrics(ftx_obs::Registry* registry);
 
  private:
-  // One shard's kernel state: the KernelStates and replay logs of its
-  // contiguous pid range, plus local tallies that roll up incrementally
-  // into the global disk/syscall accounting.
-  struct ShardBlock {
-    std::vector<KernelState> states;
-    std::vector<std::vector<SyscallRecord>> records;
-    int64_t disk_blocks_used = 0;
-    int64_t syscalls = 0;
-  };
-
   ftx::Status Apply(int pid, const SyscallRecord& record, int* out_fd, int64_t* out_written);
-  KernelState& MutableStateOf(int pid);
-  ShardBlock& BlockOf(int pid);
-  const ShardBlock& BlockOf(int pid) const;
-  std::vector<SyscallRecord>& LogOf(int pid);
-  void CountSyscall(int pid);
+  // Checked index of pid into the per-pid vectors (aborts outside
+  // [0, num_processes)).
+  size_t Index(int pid) const;
 
   ftx::env::Clock* clock_;
-  ShardPlan plan_;
   KernelLimits limits_;
   int64_t syscalls_ = 0;
   int64_t reconstructions_ = 0;
-  std::vector<ShardBlock> shards_;
+  int64_t disk_blocks_used_ = 0;  // sum of every process's disk_blocks_used
+  std::vector<KernelState> states_;
+  std::vector<std::vector<SyscallRecord>> records_;  // per-pid replay logs
 };
 
 }  // namespace ftx_sim

@@ -47,10 +47,7 @@ int64_t Network::Send(int src, int dst, ftx::Bytes payload) {
   last = deliver_at;
   latency = deliver_at - sim_->Now();
   int64_t id = msg.id;
-  // Delivery runs on the receiver's shard; msg.id is a global send id, so
-  // the merge front keeps same-timestamp cross-shard deliveries in
-  // monolithic order regardless of which shard a sender lives on.
-  sim_->ScheduleAfterFor(dst, latency, [this, msg = std::move(msg)]() mutable {
+  sim_->ScheduleAfter(latency, [this, msg = std::move(msg)]() mutable {
     msg.delivered_at = sim_->Now();
     int dst_idx = msg.dst;
     inbox_[static_cast<size_t>(dst_idx)].push_back(std::move(msg));

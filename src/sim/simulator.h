@@ -1,23 +1,11 @@
-// Deterministic discrete-event simulator with a partitioned event engine.
+// Deterministic discrete-event simulator.
 //
 // All experiments run on simulated time: callbacks ordered by (time, seq),
 // where seq is a single global schedule counter. Ties break by that counter
 // — insertion order — so a run is a pure function of the seed, the property
 // every recovery experiment relies on for reproducing executions before and
-// after injected failures.
-//
-// Fleet-scale runs partition the engine: one sub-simulator ("shard") per
-// contiguous pid range (ShardPlan), each owning a local event heap and a
-// local clock view. Events scheduled for a process land on its owner
-// shard's heap; RunOne pops from a deterministic merge front that picks the
-// globally least (time, seq) entry across shard heads. Because every event
-// carries the global schedule id — never a shard-local one — the merge
-// front replays the exact monolithic event order for ANY shard count:
-// within a shard, local heap order is a subsequence of the global order,
-// and across shards the global id decides same-timestamp ties (the
-// cross-shard generalization of the byte-identical --jobs discipline in
-// src/core/parallel.h). Sharding is therefore a layout/locality choice —
-// smaller heaps, per-shard telemetry — with zero semantic footprint.
+// after injected failures. Every event, whichever process it belongs to,
+// lives in one (time, seq) heap.
 
 #ifndef FTX_SRC_SIM_SIMULATOR_H_
 #define FTX_SRC_SIM_SIMULATOR_H_
@@ -30,17 +18,12 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/obs/metrics.h"
-#include "src/sim/partition.h"
 
 namespace ftx_sim {
 
 class Simulator {
  public:
-  // Monolithic engine: one shard owning everything.
-  explicit Simulator(uint64_t seed) : Simulator(seed, ShardPlan()) {}
-
-  // Partitioned engine. Aborts on an invalid plan (see ValidateShardPlan).
-  Simulator(uint64_t seed, ShardPlan plan);
+  explicit Simulator(uint64_t seed);
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -49,76 +32,46 @@ class Simulator {
   ftx::TimePoint Now() const { return now_; }
   ftx::Rng& rng() { return rng_; }
 
-  const ShardPlan& plan() const { return plan_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  // Owner shard for per-process events. Pids outside the plan (control
-  // events of a computation whose plan was not sized for them) fall back to
-  // shard 0, the control shard — placement never affects execution order.
-  int OwnerShardOf(int pid) const {
-    return plan_.Covers(pid) ? plan_.OwnerOf(pid) : 0;
-  }
-
-  // Pre-event hook: invoked in RunOne with (owner shard, event time) AFTER
-  // the merge front picks the next event but BEFORE the clock advances and
-  // the callback runs. At that instant the simulation state is exactly the
-  // state after all events at earlier times — the hook is how the tsdb
-  // samples cadence boundaries lazily (O(boundary crossings), not
-  // O(events)). The hook must only READ state: it runs outside simulated
-  // time and must never schedule events, touch the RNG, or mutate anything
-  // the simulation observes — the telemetry-neutrality goldens pin this.
-  // Unset (the default) costs one branch per event.
-  void SetEventHook(std::function<void(int shard, ftx::TimePoint)> hook) {
-    event_hook_ = std::move(hook);
-  }
+  // Pre-event hook: invoked in RunOne with the event time AFTER the next
+  // event is picked but BEFORE the clock advances and the callback runs. At
+  // that instant the simulation state is exactly the state after all events
+  // at earlier times — the hook is how the tsdb samples cadence boundaries
+  // lazily (O(boundary crossings), not O(events)). The hook must only READ
+  // state: it runs outside simulated time and must never schedule events,
+  // touch the RNG, or mutate anything the simulation observes — the
+  // telemetry-neutrality goldens pin this. Unset (the default) costs one
+  // branch per event.
+  void SetEventHook(std::function<void(ftx::TimePoint)> hook) { event_hook_ = std::move(hook); }
 
   // Exposes the simulator's activity counters and clock through a metrics
   // registry ("sim.events_executed", "sim.events_scheduled", "sim.now_s").
-  // Multi-shard engines additionally expose "sim.shards" and
-  // "sim.cross_shard_events" (single-shard engines register exactly the
-  // monolithic instrument set, keeping golden snapshots byte-stable). The
-  // simulator must outlive the registry's snapshots.
+  // The simulator must outlive the registry's snapshots.
   void BindMetrics(ftx_obs::Registry* registry);
 
-  // Schedules fn to run at absolute time t (>= Now()) on the control shard.
+  // Schedules fn to run at absolute time t (>= Now()).
   void ScheduleAt(ftx::TimePoint t, std::function<void()> fn);
   void ScheduleAfter(ftx::Duration d, std::function<void()> fn);
 
-  // Schedules fn on pid's owner shard (same global ordering either way).
-  void ScheduleAtFor(int pid, ftx::TimePoint t, std::function<void()> fn);
-  void ScheduleAfterFor(int pid, ftx::Duration d, std::function<void()> fn);
-
-  // Executes the next pending callback — the merge front's least
-  // (time, global seq) across all shard heaps — advancing the clock to its
-  // time. Returns false when every heap is empty.
+  // Executes the next pending callback — the least (time, seq) — advancing
+  // the clock to its time. Returns false when the queue is empty.
   bool RunOne();
 
-  // Runs callbacks until the queues are empty or the next callback is
+  // Runs callbacks until the queue is empty or the next callback is
   // scheduled after `deadline` (the clock is then left at the last executed
   // event's time).
   void RunUntil(ftx::TimePoint deadline);
 
-  // Runs until the queues drain. `max_events` guards against runaway loops
+  // Runs until the queue drains. `max_events` guards against runaway loops
   // in tests; exceeding it aborts.
   void RunUntilIdle(int64_t max_events = 100000000);
 
   int64_t events_executed() const { return events_executed_; }
-  bool HasPending() const { return pending_ > 0; }
-
-  // --- per-shard telemetry (the shard's "local" state) ---
-
-  // Time of the last event executed on shard s (its local clock; always
-  // <= Now(), which tracks the merge front).
-  ftx::TimePoint ShardNow(int shard) const;
-  int64_t ShardEventsExecuted(int shard) const;
-  // Events whose scheduling callback ran on a different shard than the one
-  // they landed on (cross-shard message deliveries, mostly).
-  int64_t cross_shard_events() const { return cross_shard_events_; }
+  bool HasPending() const { return !queue_.empty(); }
 
  private:
   struct Scheduled {
     ftx::TimePoint time;
-    int64_t seq;  // global schedule id — the merge front's tiebreak
+    int64_t seq;  // global schedule id — the same-time tiebreak
     std::function<void()> fn;
   };
   struct Later {
@@ -129,26 +82,12 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  struct Shard {
-    std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue;
-    ftx::TimePoint local_now;
-    int64_t events_executed = 0;
-  };
 
-  void ScheduleOn(int shard, ftx::TimePoint t, std::function<void()> fn);
-  // Shard holding the merge front's next event, or -1 when all heaps are
-  // empty.
-  int FrontShard() const;
-
-  ShardPlan plan_;
   ftx::TimePoint now_;
   int64_t next_seq_ = 0;
   int64_t events_executed_ = 0;
-  int64_t pending_ = 0;
-  int64_t cross_shard_events_ = 0;
-  int executing_shard_ = 0;  // shard of the currently running callback
-  std::function<void(int, ftx::TimePoint)> event_hook_;
-  std::vector<Shard> shards_;
+  std::function<void(ftx::TimePoint)> event_hook_;
+  std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
   ftx::Rng rng_;
 };
 

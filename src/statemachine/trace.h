@@ -47,7 +47,7 @@ struct TraceEvent {
   // -1 = not part of any atomic group.
   int64_t atomic_group = -1;
   // Free-form tag for diagnostics ("keystroke", "frame", ...).
-  std::string label;
+  std::string label{};
 };
 
 struct TraceOptions {

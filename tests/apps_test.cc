@@ -1,18 +1,23 @@
 // Per-application tests: determinism, functional correctness against
-// reference models, and event-mix sanity for the Fig. 8 workloads.
+// reference models, and event-mix sanity for the Fig. 8 workloads, plus
+// the fleet workload's exactly-once ledger and observer neutrality.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
+#include "src/apps/fleet.h"
 #include "src/apps/magic.h"
 #include "src/apps/nvi.h"
 #include "src/apps/postgres.h"
 #include "src/apps/treadmarks.h"
 #include "src/apps/workloads.h"
 #include "src/apps/xpilot.h"
+#include "src/common/rng.h"
 #include "src/core/computation.h"
 #include "src/core/experiment.h"
 
@@ -342,6 +347,211 @@ TEST(Workloads, FactoryKnowsAllNames) {
     EXPECT_GT(ftx_apps::DefaultScale(name, false), 0);
     EXPECT_GT(ftx_apps::DefaultScale(name, true), ftx_apps::DefaultScale(name, false) / 100);
   }
+}
+
+// --- fleet: observer neutrality and the exactly-once ledger ---
+
+uint64_t Fnv1a(uint64_t hash, const uint8_t* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ data[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// One randomized fleet run, fully serialized: configuration and crash plan
+// derive from the seed, so two runs of one seed that differ only in
+// observer settings must return identical strings.
+std::string FleetFingerprint(uint64_t seed, bool lean_trace) {
+  ftx::Rng rng(seed);
+  ftx_apps::FleetConfig config;
+  config.num_servers = 1 + static_cast<int>(rng.NextBounded(3));
+  config.num_clients =
+      1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(16 - config.num_servers)));
+  config.requests_per_client = 1 + static_cast<int>(rng.NextBounded(4));
+  config.report_every = 1 + static_cast<int>(rng.NextBounded(8));
+  config.client_think = ftx::Microseconds(10 + static_cast<int64_t>(rng.NextBounded(90)));
+
+  ftx::ComputationOptions options;
+  options.seed = seed;
+  options.protocol = (seed % 2 == 0) ? "cpv-2pc" : "cbndv-2pc";
+  options.store = ftx::StoreKind::kRio;
+  options.lean_trace = lean_trace;
+  options.recovery_delay = ftx::Microseconds(100);
+  ftx::Computation computation(options, ftx_apps::MakeFleetApps(config));
+
+  // Crash injection on half the seeds: one or two stop failures at random
+  // times inside the fleet's active window.
+  if (rng.NextBernoulli(0.5)) {
+    const int crashes = 1 + static_cast<int>(rng.NextBounded(2));
+    for (int i = 0; i < crashes; ++i) {
+      int pid = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(config.num_processes())));
+      int64_t at_us = 20 + static_cast<int64_t>(rng.NextBounded(400));
+      computation.ScheduleStopFailure(pid, ftx::TimePoint() + ftx::Microseconds(at_us),
+                                      ftx::Microseconds(100));
+    }
+  }
+  ftx::ComputationResult result = computation.Run();
+
+  std::string fp;
+  fp += "all_done=";
+  fp += std::to_string(result.all_done);
+  fp += " end=";
+  fp += std::to_string(result.end_time.nanos());
+  fp += " commits=";
+  fp += std::to_string(result.total_commits);
+  fp += " events=";
+  fp += std::to_string(result.total_events);
+  fp += " rollbacks=";
+  fp += std::to_string(result.total_rollbacks);
+  fp += "\n";
+  // The user-observed visible stream, globally ordered: the strongest
+  // external observable.
+  for (const ftx_rec::VisibleEvent& visible : computation.recorder().events()) {
+    fp += "v p";
+    fp += std::to_string(visible.process);
+    fp += " t";
+    fp += std::to_string(visible.time.nanos());
+    fp += " [";
+    for (uint8_t byte : visible.payload) {
+      fp += std::to_string(byte);
+      fp += ",";
+    }
+    fp += "]\n";
+  }
+  // Per-process executed-event logs (the commit sequence rides in here as
+  // kCommit events with their atomic 2PC group ids).
+  for (int pid = 0; pid < config.num_processes(); ++pid) {
+    fp += "p";
+    fp += std::to_string(pid);
+    fp += ":";
+    for (const ftx_sm::TraceEvent& event : computation.trace().ProcessEvents(pid)) {
+      fp += " ";
+      fp += std::to_string(static_cast<int>(event.kind));
+      fp += "/";
+      fp += std::to_string(event.message_id);
+      fp += "/";
+      fp += std::to_string(event.logged);
+      fp += "/";
+      fp += std::to_string(event.atomic_group);
+    }
+    fp += "\n";
+  }
+  // Final committed segment images.
+  for (int pid = 0; pid < config.num_processes(); ++pid) {
+    const ftx_vista::Segment& segment = computation.runtime(pid).segment();
+    fp += "seg";
+    fp += std::to_string(pid);
+    fp += "=";
+    fp += std::to_string(Fnv1a(0xcbf29ce484222325ULL, segment.data(), segment.size()));
+    fp += "\n";
+  }
+  return fp;
+}
+
+// Every request applied once on the committed server ledgers and acked
+// once by its client.
+void ExpectExactlyOnce(ftx::Computation& computation, const ftx_apps::FleetConfig& config) {
+  int64_t applied = 0;
+  int64_t value_sum = 0;
+  for (int s = 0; s < config.num_servers; ++s) {
+    applied += ftx_apps::FleetServer::AppliedCount(computation.runtime(s));
+    value_sum += ftx_apps::FleetServer::ValueSum(computation.runtime(s));
+  }
+  EXPECT_EQ(applied, static_cast<int64_t>(config.num_clients) * config.requests_per_client);
+  EXPECT_EQ(value_sum, ftx_apps::FleetExpectedValueSum(config));
+  for (int c = 0; c < config.num_clients; ++c) {
+    EXPECT_EQ(ftx_apps::FleetClient::AckedCount(computation.runtime(config.num_servers + c)),
+              config.requests_per_client)
+        << "client " << c;
+  }
+}
+
+TEST(Fleet, LeanTraceChangesNoSimulatedByte) {
+  // The lean (clock-free) trace mode drops only observer state; visible
+  // output, event logs, commit totals, and segments must not move.
+  for (uint64_t seed : {3u, 8u, 21u}) {
+    EXPECT_EQ(FleetFingerprint(seed, /*lean_trace=*/true),
+              FleetFingerprint(seed, /*lean_trace=*/false))
+        << "lean trace perturbed simulated state at seed " << seed;
+  }
+}
+
+TEST(Fleet, AuditChangesNoSimulatedByte) {
+  // The causal audit only observes: audited and unaudited runs must agree
+  // on every simulated observable.
+  ftx_apps::FleetConfig config;
+  config.num_servers = 2;
+  config.num_clients = 10;
+  config.requests_per_client = 3;
+  config.report_every = 4;
+  auto run = [&](bool audit) {
+    ftx::ComputationOptions options;
+    options.seed = 5;
+    options.protocol = "cbndv-2pc";
+    options.audit = audit;
+    ftx::Computation computation(options, ftx_apps::MakeFleetApps(config));
+    computation.ScheduleStopFailure(3, ftx::TimePoint() + ftx::Microseconds(120),
+                                    ftx::Microseconds(100));
+    ftx::ComputationResult result = computation.Run();
+    std::string fp = std::to_string(result.total_commits) + "/" +
+                     std::to_string(result.total_rollbacks) + "/" +
+                     std::to_string(result.end_time.nanos()) + "/" +
+                     std::to_string(result.total_events);
+    for (const ftx_rec::VisibleEvent& visible : computation.recorder().events()) {
+      fp += " " + std::to_string(visible.process) + "@" + std::to_string(visible.time.nanos());
+    }
+    for (int pid = 0; pid < config.num_processes(); ++pid) {
+      const ftx_vista::Segment& segment = computation.runtime(pid).segment();
+      fp += " " + std::to_string(Fnv1a(0xcbf29ce484222325ULL, segment.data(), segment.size()));
+    }
+    return fp;
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
+// --- fleet workload sanity: the ledger is exactly-once at small scale ---
+
+TEST(Fleet, ExactlyOnceUnderCrashes) {
+  ftx_apps::FleetConfig config;
+  config.num_servers = 2;
+  config.num_clients = 12;
+  config.requests_per_client = 4;
+  config.report_every = 4;
+  ftx::ComputationOptions options;
+  options.seed = 77;
+  options.protocol = "cbndv-2pc";
+  options.recovery_delay = ftx::Microseconds(100);
+  ftx::Computation computation(options, ftx_apps::MakeFleetApps(config));
+  computation.ScheduleStopFailure(0, ftx::TimePoint() + ftx::Microseconds(90),
+                                  ftx::Microseconds(100));
+  computation.ScheduleStopFailure(5, ftx::TimePoint() + ftx::Microseconds(150),
+                                  ftx::Microseconds(100));
+  ftx::ComputationResult result = computation.Run();
+  ASSERT_TRUE(result.all_done);
+
+  ExpectExactlyOnce(computation, config);
+}
+
+// Coordinated Checkpointing's participant closure has no process limit: a
+// 70-process fleet, past what a 64-bit pid mask can hold, completes
+// exactly-once.
+TEST(Fleet, CoordinatedCheckpointingBeyond64Processes) {
+  ftx_apps::FleetConfig config;
+  config.num_servers = 2;
+  config.num_clients = 68;
+  config.requests_per_client = 2;
+  config.report_every = 8;
+  ftx::ComputationOptions options;
+  options.seed = 70;
+  options.protocol = "coordinated-ckpt";
+  options.recovery_delay = ftx::Microseconds(100);
+  ftx::Computation computation(options, ftx_apps::MakeFleetApps(config));
+  computation.ScheduleStopFailure(1, ftx::TimePoint() + ftx::Microseconds(120),
+                                  ftx::Microseconds(100));
+  ftx::ComputationResult result = computation.Run();
+  ASSERT_TRUE(result.all_done);
+  EXPECT_GT(result.total_commits, 0);
+  ExpectExactlyOnce(computation, config);
 }
 
 }  // namespace

@@ -266,4 +266,26 @@ TEST(ScriptRunner, SimBackendIsJobsInvariant) {
   EXPECT_EQ(run_all(1), run_all(8));
 }
 
+// The ScriptExecutor's 2PC closure has no process limit either: the same
+// 70-process script as the ReplayScript pin commits exactly p0 and p65.
+TEST(ScriptRunner, CoordinatedClosureBeyond64Processes) {
+  using ftx_sm::EventKind;
+  const std::vector<ftx_sm::ScriptedEvent> script = {
+      {0, EventKind::kSend, 1}, {65, EventKind::kReceive, 1}, {0, EventKind::kVisible}};
+  ftx::env::ScriptRunOptions options;
+  options.num_processes = 70;
+  options.protocol = "coordinated-ckpt";
+  const ftx::env::DecisionLog log = ftx::env::RunScriptOnSim(script, options);
+  EXPECT_TRUE(log.clean());
+  EXPECT_EQ(log.coordinated_rounds, 1);
+  EXPECT_EQ(log.commits, 2);
+  std::vector<std::string> commits;
+  for (const std::string& line : log.lines) {
+    if (line.rfind("commit ", 0) == 0) {
+      commits.push_back(line.substr(0, line.find(' ', 7)));
+    }
+  }
+  EXPECT_EQ(commits, (std::vector<std::string>{"commit p65", "commit p0"}));
+}
+
 }  // namespace

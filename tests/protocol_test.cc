@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "src/common/rng.h"
+#include "src/protocol/coordination.h"
 #include "src/protocol/protocol.h"
 #include "src/protocol/protocol_space.h"
 #include "src/protocol/script_replay.h"
@@ -236,6 +237,60 @@ TEST(SaveWorkCommitCounts, LoggingReducesCandCommits) {
     auto cand = ftx_proto::ReplayScript(script_a, options.num_processes, "cand");
     auto cand_log = ftx_proto::ReplayScript(script_b, options.num_processes, "cand-log");
     EXPECT_LE(cand_log.total_commits, cand.total_commits) << "seed " << seed;
+  }
+}
+
+// --- 2PC participant selection ---
+
+TEST(CoordinationParticipants, ScopesSelectInAscendingPidOrder) {
+  std::vector<ftx_proto::CommunicationRecord> records(6);
+  // Chain 5 -> 3 -> 0 (each record names the next member), plus 1 <-> 4 on
+  // their own.
+  records[5].Note(3);
+  records[3].Note(0);
+  records[1].Note(4);
+  records[4].Note(1);
+  ftx_proto::ParticipantQuery query;
+  query.num_processes = 6;
+  query.has_uncommitted_nd = [](int pid) { return pid % 2 == 1; };
+  query.communicated = [&records](int pid) -> const ftx_proto::CommunicationRecord& {
+    return records[static_cast<size_t>(pid)];
+  };
+  using Scope = ftx_proto::CoordinationScope;
+  EXPECT_EQ(ftx_proto::CoordinationParticipants(2, Scope::kAll, query),
+            (std::vector<int>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(ftx_proto::CoordinationParticipants(1, Scope::kNdDirty, query),
+            (std::vector<int>{3, 5}));
+  EXPECT_EQ(ftx_proto::CoordinationParticipants(0, Scope::kCommunicated, query),
+            (std::vector<int>{3, 5}));
+  EXPECT_EQ(ftx_proto::CoordinationParticipants(4, Scope::kCommunicated, query),
+            (std::vector<int>{1}));
+  EXPECT_TRUE(ftx_proto::CoordinationParticipants(2, Scope::kCommunicated, query).empty());
+
+  // An ineligible process neither joins nor links the rest of the chain.
+  query.eligible = [](int pid) { return pid != 3; };
+  EXPECT_TRUE(ftx_proto::CoordinationParticipants(0, Scope::kCommunicated, query).empty());
+  EXPECT_EQ(ftx_proto::CoordinationParticipants(2, Scope::kAll, query),
+            (std::vector<int>{0, 1, 4, 5}));
+}
+
+// 70 processes: p0 sends to p65, p65 receives, then p0 emits a visible
+// event under Coordinated Checkpointing. Only p0 and p65 commit — a closure
+// over 64-bit pid masks would wrap pid 65 onto pid 1 and pull p1 and p64
+// in as well.
+TEST(CoordinationParticipants, ReplayScriptClosureBeyond64Processes) {
+  using ftx_sm::EventKind;
+  const std::vector<ftx_sm::ScriptedEvent> script = {
+      {0, EventKind::kSend, 1}, {65, EventKind::kReceive, 1}, {0, EventKind::kVisible}};
+  ftx_proto::ScriptReplayResult result = ftx_proto::ReplayScript(script, 70, "coordinated-ckpt");
+  EXPECT_EQ(result.coordinated_rounds, 1);
+  EXPECT_EQ(result.total_commits, 2);
+  for (int pid = 0; pid < 70; ++pid) {
+    int commits = 0;
+    for (const ftx_sm::TraceEvent& event : result.trace.ProcessEvents(pid)) {
+      commits += event.kind == EventKind::kCommit ? 1 : 0;
+    }
+    EXPECT_EQ(commits, pid == 0 || pid == 65 ? 1 : 0) << "p" << pid;
   }
 }
 

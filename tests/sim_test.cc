@@ -114,6 +114,38 @@ TEST(Network, FifoPerSenderReceiverPair) {
   }
 }
 
+// The per-channel FIFO bump (+1 ns when a later send would tie an earlier
+// delivery on the same channel) must not reorder deliveries across
+// channels: a bumped delivery on channel (0 -> 1) and another channel's
+// natural delivery land at the same instant, and the inbox sees them in
+// send order.
+TEST(Network, FifoBumpTiesAnotherChannelInSendOrder) {
+  Simulator sim(1);
+  ftx_sim::NetworkOptions options;
+  options.max_jitter = ftx::Duration();  // deterministic latency
+  Network net(&sim, 3, options);
+
+  // Two back-to-back sends on channel (0 -> 1): the second would tie the
+  // first, so FIFO bumps it by 1 ns.
+  net.Send(0, 1, ftx::Bytes{'A'});
+  net.Send(0, 1, ftx::Bytes{'B'});
+  // On channel (2 -> 1), a 1-ns-later send of an equal-sized payload: its
+  // natural delivery lands exactly on B's bumped instant.
+  sim.ScheduleAt(ftx::TimePoint() + ftx::Nanoseconds(1), [&] { net.Send(2, 1, ftx::Bytes{'C'}); });
+  sim.RunUntilIdle();
+
+  std::vector<char> inbox;
+  std::vector<int64_t> delivered_at;
+  while (auto msg = net.Deliver(1)) {
+    inbox.push_back(static_cast<char>(msg->payload[0]));
+    delivered_at.push_back(msg->delivered_at.nanos());
+  }
+  EXPECT_EQ(inbox, (std::vector<char>{'A', 'B', 'C'}));
+  ASSERT_EQ(delivered_at.size(), 3u);
+  EXPECT_EQ(delivered_at[1], delivered_at[0] + 1);  // the per-channel bump
+  EXPECT_EQ(delivered_at[2], delivered_at[1]);      // tied from another channel
+}
+
 TEST(Network, ArrivalCallbackFires) {
   Simulator sim(1);
   Network net(&sim, 2);

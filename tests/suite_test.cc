@@ -1,7 +1,8 @@
 // Tests for the bench suite's option table: the generated usage text covers
 // every flag (with its value placeholder and doc line), ParseBenchOptions
-// fills BenchOptions from a synthetic argv, and --log-level names map to
-// ftx::LogLevel exactly as the parser the flag delegates to.
+// fills BenchOptions from a synthetic argv, a bench rejects the flags it
+// does not read, and --log-level names map to ftx::LogLevel exactly as the
+// parser the flag delegates to.
 
 #include <iterator>
 #include <string>
@@ -21,22 +22,21 @@ TEST(BenchUsage, GeneratedTextCoversEveryFlag) {
   // doc edited without its flag) fails here.
   for (const char* needle : {"--full", "--scale N", "--jobs N", "--seed S", "--json PATH",
                              "--trace PATH", "--audit", "--log-level LEVEL", "--repeat N",
-                             "--prof PATH", "--backend NAME", "--shards N"}) {
+                             "--prof PATH", "--backend NAME", "--batch N"}) {
     EXPECT_NE(usage.find(needle), std::string::npos) << "missing from usage: " << needle;
   }
   EXPECT_NE(usage.find("live causal audit"), std::string::npos);
   EXPECT_NE(usage.find("error|warning|info|debug"), std::string::npos);
-  EXPECT_NE(usage.find("byte-identical"), std::string::npos);  // the --shards contract
 }
 
 TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   const char* argv[] = {"bench",  "--full", "--scale",     "40",   "--jobs", "3",
                         "--seed", "99",     "--json",      "r.json", "--trace", "t.json",
                         "--audit", "--log-level", "debug", "--repeat", "5",
-                        "--prof", "p.collapsed", "--backend", "threads", "--shards", "16"};
-  ftx_bench::BenchOptions options =
-      ftx_bench::ParseBenchOptions(static_cast<int>(std::size(argv)),
-                                   const_cast<char**>(argv));
+                        "--prof", "p.collapsed", "--backend", "threads", "--batch", "8"};
+  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(
+      static_cast<int>(std::size(argv)), const_cast<char**>(argv),
+      {.batch = true, .threads_backend = true});
   EXPECT_TRUE(options.full_scale);
   EXPECT_EQ(options.scale_override, 40);
   EXPECT_EQ(options.jobs, 3);
@@ -48,7 +48,7 @@ TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   EXPECT_EQ(options.repeat, 5);
   EXPECT_EQ(options.prof_path, "p.collapsed");
   EXPECT_EQ(options.backend, "threads");
-  EXPECT_EQ(options.shards, 16);
+  EXPECT_EQ(options.batch, 8);
   EXPECT_EQ(ftx::GetLogLevel(), ftx::LogLevel::kDebug);
   ftx::SetLogLevel(ftx::LogLevel::kWarning);  // restore the default
 }
@@ -68,7 +68,30 @@ TEST(BenchUsage, DefaultsLeaveEverythingOff) {
   EXPECT_EQ(options.repeat, 1);
   EXPECT_TRUE(options.prof_path.empty());
   EXPECT_TRUE(options.backend.empty());
-  EXPECT_EQ(options.shards, 0);  // 0 = the bench's own choice
+  EXPECT_EQ(options.batch, 0);
+}
+
+// A flag the bench does not read exits 2 naming it, instead of being
+// silently ignored (fig8_nvi --backend threads would otherwise run the
+// simulator; fleet_faults --batch 8 would run unbatched).
+TEST(BenchUsageDeathTest, UnreadFlagsAreRejected) {
+  const char* backend[] = {"fig8_nvi", "--backend", "threads"};
+  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(backend), {.batch = true}),
+              testing::ExitedWithCode(2), "fig8_nvi does not read --backend threads");
+  const char* batch[] = {"fleet_faults", "--batch", "8"};
+  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(batch)),
+              testing::ExitedWithCode(2), "fleet_faults does not read --batch 8");
+  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(batch),
+                                           {.threads_backend = true}),
+              testing::ExitedWithCode(2), "does not read --batch");
+}
+
+// Every bench runs on the simulator, so --backend sim states a fact and is
+// accepted everywhere.
+TEST(BenchUsage, BackendSimIsAcceptedByEveryBench) {
+  const char* argv[] = {"fleet_faults", "--backend", "sim"};
+  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(3, const_cast<char**>(argv));
+  EXPECT_EQ(options.backend, "sim");
 }
 
 TEST(LogLevelParse, AcceptsNamesAliasesAndDigits) {

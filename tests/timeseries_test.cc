@@ -2,8 +2,8 @@
 // critical-path tracker (src/obs/causal/critical_path.h): cadence boundary
 // semantics and the closing sample, ring eviction, collation-independent
 // column order, taint propagation with per-phase attribution, and the two
-// end-to-end contracts — the exported JSONL is byte-identical for any
-// shard layout, and enabling telemetry never moves a simulated quantity.
+// end-to-end contract — enabling telemetry never moves a simulated
+// quantity.
 
 #include <cstdint>
 #include <string>
@@ -258,7 +258,7 @@ TEST(CriticalPath, FirstTaintWins) {
   EXPECT_EQ(path.span_ns, 200);
 }
 
-// --- end-to-end: shard-layout byte-identity and neutrality ---
+// --- end-to-end: neutrality ---
 
 ftx_apps::FleetConfig SmallFleet() {
   ftx_apps::FleetConfig config;
@@ -268,12 +268,11 @@ ftx_apps::FleetConfig SmallFleet() {
   return config;
 }
 
-ftx::ComputationOptions FleetOptions(int shards) {
+ftx::ComputationOptions FleetOptions() {
   ftx::ComputationOptions options;
   options.seed = 4242;
   options.protocol = "cpv-2pc";
   options.store = ftx::StoreKind::kRio;
-  options.shards = shards;
   options.lean_trace = true;
   options.recovery_delay = ftx::Microseconds(200);
   return options;
@@ -287,8 +286,8 @@ struct FleetRun {
   int64_t end_ns = 0;
 };
 
-FleetRun RunCrashedFleet(int shards, bool telemetry) {
-  ftx::ComputationOptions options = FleetOptions(shards);
+FleetRun RunCrashedFleet(bool telemetry) {
+  ftx::ComputationOptions options = FleetOptions();
   options.timeseries = telemetry;
   options.timeseries_options.cadence_ns = 100000;  // 100 us
   options.critical_path = telemetry;
@@ -307,38 +306,16 @@ FleetRun RunCrashedFleet(int shards, bool telemetry) {
   return run;
 }
 
-TEST(TimeSeriesEndToEnd, ExportByteIdenticalAcrossShardLayouts) {
-  FleetRun s1 = RunCrashedFleet(/*shards=*/1, /*telemetry=*/true);
-  FleetRun s4 = RunCrashedFleet(/*shards=*/4, /*telemetry=*/true);
-  EXPECT_GT(s1.jsonl.size(), 0u);
-  EXPECT_EQ(s1.jsonl, s4.jsonl);
-  EXPECT_EQ(s1.critical_path, s4.critical_path);
-  // The run really exercised the machinery being compared.
-  EXPECT_GT(s1.rollbacks, 0);
-  EXPECT_NE(s1.critical_path.find("\"found\":true"), std::string::npos) << s1.critical_path;
-}
-
 TEST(TimeSeriesEndToEnd, TelemetryNeverMovesSimulatedQuantities) {
-  FleetRun on = RunCrashedFleet(/*shards=*/2, /*telemetry=*/true);
-  FleetRun off = RunCrashedFleet(/*shards=*/2, /*telemetry=*/false);
+  FleetRun on = RunCrashedFleet(/*telemetry=*/true);
+  FleetRun off = RunCrashedFleet(/*telemetry=*/false);
   EXPECT_EQ(on.commits, off.commits);
   EXPECT_EQ(on.rollbacks, off.rollbacks);
   EXPECT_EQ(on.end_ns, off.end_ns);
-}
-
-TEST(TimeSeriesEndToEnd, ShardLanesAreOptInAndLayoutDependent) {
-  ftx::ComputationOptions options = FleetOptions(2);
-  options.timeseries = true;
-  options.timeseries_options.shard_lanes = true;
-  ftx::Computation computation(options, ftx_apps::MakeFleetApps(SmallFleet()));
-  computation.Run();
-  const std::string jsonl = computation.timeseries()->ToJsonl();
-  EXPECT_NE(jsonl.find("shard0.events_executed"), std::string::npos);
-  EXPECT_NE(jsonl.find("sim.cross_shard_events"), std::string::npos);
-  // And the default export carries neither (the byte-identity contract).
-  FleetRun plain = RunCrashedFleet(/*shards=*/2, /*telemetry=*/true);
-  EXPECT_EQ(plain.jsonl.find("shard0."), std::string::npos);
-  EXPECT_EQ(plain.jsonl.find("cross_shard"), std::string::npos);
+  // The run really exercised the machinery being compared.
+  EXPECT_GT(on.jsonl.size(), 0u);
+  EXPECT_GT(on.rollbacks, 0);
+  EXPECT_NE(on.critical_path.find("\"found\":true"), std::string::npos) << on.critical_path;
 }
 
 // MeasureOverhead hands the telemetry file to the recoverable run only, so
