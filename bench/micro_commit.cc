@@ -177,8 +177,8 @@ BENCHMARK(BM_SegmentAbort)->Arg(16)->Arg(256);
 void BM_GroupCommit(benchmark::State& state) {
   // Simulated DC-disk commit throughput under group commit: windows of N
   // 4-page records stage through the CommitPipeline and each flush charges
-  // WindowPersistCost — one seek+rotation pair per *window* instead of per
-  // record. sim_commits_per_sec is the model-time throughput; the ratio of
+  // PersistCost of the window's bytes — one seek+rotation pair per *window*
+  // instead of per record. sim_commits_per_sec is the model-time throughput; the ratio of
   // the batch-8 and batch-1 rows is the grouped-commit gate in
   // scripts/bench_hotpath.sh (>= 2x at batch 8 on the DiskModel).
   const int64_t batch = state.range(0);
@@ -193,7 +193,6 @@ void BM_GroupCommit(benchmark::State& state) {
   std::vector<uint8_t> page(4096, 0xa5);
   double sim_ns = 0.0;
   int64_t commits = 0;
-  int64_t window_records = 0;
   int64_t window_bytes = 0;
   for (auto _ : state) {
     ftx_store::RedoRecord record;
@@ -202,21 +201,19 @@ void BM_GroupCommit(benchmark::State& state) {
       record.AppendPage(p * 4096, page.data(), page.size());
     }
     window_bytes += record.PayloadBytes() + 64;
-    ++window_records;
     ++commits;
     if (pipeline.Stage(std::move(record))) {
       pipeline.Flush();
-      sim_ns += static_cast<double>(store.WindowPersistCost(window_records, window_bytes).nanos());
+      sim_ns += static_cast<double>(store.PersistCost(window_bytes).nanos());
       // Retire the flushed prefix so the in-memory record chain (and the
       // host-time cost of tracking it) stays bounded over the bench run.
       log.TruncateThrough(log.next_sequence() - 1);
-      window_records = 0;
       window_bytes = 0;
     }
   }
   if (!pipeline.empty()) {
     pipeline.Flush();
-    sim_ns += static_cast<double>(store.WindowPersistCost(window_records, window_bytes).nanos());
+    sim_ns += static_cast<double>(store.PersistCost(window_bytes).nanos());
   }
   state.SetItemsProcessed(commits);
   state.counters["sim_commits_per_sec"] =

@@ -76,7 +76,8 @@ REQUIRED_ROW_FIELDS = {
                       "durable_mismatches", "equal", "mismatch_index", "ok"],
     "fleet_faults": ["protocol", "crashes", "clients", "servers",
                      "requests_per_client", "necessary_ops", "executed_ops",
-                     "efficiency", "violations", "commits", "rollbacks"],
+                     "efficiency", "violations", "commits", "rollbacks",
+                     "crashes_landed"],
     "recovery_profile": ["section", "workload", "protocol", "store", "scale",
                          "crash_fraction", "repeats", "ok", "violations",
                          "replays", "redo_records", "mttr_count",
@@ -358,7 +359,8 @@ def check_file(path):
     # rate, efficiency is necessary/executed so it lives in (0, 1] and is
     # exactly 1.0 fault-free, each protocol's curve must be (near-)monotone
     # nonincreasing in the injected crash count — the crash sets are prefixes
-    # of each other, so added faults can only add rolled-back work — and a
+    # of each other, so added faults can only add rolled-back work — every
+    # crash that landed must have been recovered (one rollback each), and a
     # full-scale run must actually be the 10k-client ROADMAP fleet.
     if bench == "fleet_faults":
         curves = {}
@@ -368,6 +370,16 @@ def check_file(path):
             if row.get("violations") != 0:
                 ok = fail(path, f"rows[{i}]: exactly-once violated "
                                 f"(violations={row.get('violations')!r})")
+            landed = row.get("crashes_landed")
+            if landed != row.get("rollbacks"):
+                ok = fail(path, f"rows[{i}]: crashes_landed={landed!r} != "
+                                f"rollbacks={row.get('rollbacks')!r} (a landed "
+                                f"crash was not recovered, or a rollback had "
+                                f"no crash)")
+            elif not is_number(landed) or not is_number(row.get("crashes")) \
+                    or landed > row["crashes"]:
+                ok = fail(path, f"rows[{i}]: crashes_landed={landed!r} "
+                                f"exceeds crashes={row.get('crashes')!r}")
             eff = row.get("efficiency")
             if not is_number(eff) or not 0.0 < eff <= 1.0:
                 ok = fail(path, f"rows[{i}]: efficiency {eff!r} outside (0, 1]")

@@ -45,9 +45,6 @@ Runtime::Runtime(int pid, int num_processes, App* app,
       mode_(mode),
       costs_(costs) {
   FTX_CHECK(app != nullptr);
-  // The Environment builder already validated clock/transport/kernel/
-  // recorder; the mode-dependent requirements are enforced here in the same
-  // named-field style.
   FTX_CHECK_MSG(env_.clock != nullptr, "Runtime: missing required dependency 'clock'");
   FTX_CHECK_MSG(env_.transport != nullptr, "Runtime: missing required dependency 'transport'");
   FTX_CHECK_MSG(env_.kernel != nullptr, "Runtime: missing required dependency 'kernel'");
@@ -58,6 +55,8 @@ Runtime::Runtime(int pid, int num_processes, App* app,
                   "Runtime: recoverable mode requires dependency 'trace'");
     FTX_CHECK_MSG(env_.store != nullptr,
                   "Runtime: recoverable mode requires dependency 'store'");
+    FTX_CHECK_MSG(env_.redo_log == nullptr || env_.commit_pipeline != nullptr,
+                  "Runtime: DC-disk requires dependency 'commit_pipeline'");
   }
   segment_ = std::make_unique<ftx_vista::Segment>(app->SegmentBytes());
   if (app->HeapBytes() > 0) {
@@ -114,10 +113,9 @@ void Runtime::Initialize() {
   // committed". Its cost is excluded from overhead accounting (both the
   // recoverable and baseline versions start from a settled initial state).
   if (mode_ == RuntimeMode::kRecoverable) {
-    DoCommit(/*coordinated=*/false);
     // "The initial state of any application is always committed" — durably:
     // checkpoint #0 never waits in an open group-commit window.
-    FlushCommitWindow();
+    FlushCommitWindow(DoCommit(/*coordinated=*/false));
   } else {
     segment_->Commit();
   }
@@ -263,15 +261,18 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
     return ftx::Duration();
   }
   FTX_PROF_SCOPE("commit");
-  const ftx::Duration fixed_cost = env_.store->CommitFixedCost();
+  UnreportedCommit commit;
+  commit.coordinated = coordinated;
+  commit.atomic_group = atomic_group;
   // Volatile (recomputable) ranges are excluded from what a commit
   // persists; their pages still pay the COW trap but not the persist path.
   const auto trapped = static_cast<int64_t>(segment_->dirty_page_count());
-  const auto pages = static_cast<int64_t>(segment_->persisted_dirty_page_count());
-  const ftx::Duration before_image_cost = costs_.page_trap * trapped;
-  const ftx::Duration reprotect_cost = costs_.page_reprotect * pages;
-  ftx::Duration cost = fixed_cost;
-  cost += before_image_cost + reprotect_cost;
+  commit.pages = static_cast<int64_t>(segment_->persisted_dirty_page_count());
+  commit.fixed_cost = env_.store->CommitFixedCost();
+  commit.before_image_cost = costs_.page_trap * trapped;
+  commit.reprotect_cost = costs_.page_reprotect * commit.pages;
+  commit.begin = Now() + Accrued();
+  ftx::Duration cost = commit.CaptureCost();
 
   // Capture the post-commit resume point: the synthetic register file plus
   // the kernel / input / ND-log cursors recovery must restore.
@@ -283,166 +284,93 @@ ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
   meta.input_cursor = input_cursor_;
   meta.nd_consumed = nd_consumed_;
 
-  ftx::Duration persist_cost;
-  int64_t payload_bytes = 0;
+  bool must_flush = false;
   if (env_.redo_log != nullptr) {
-    // DC-disk: synchronous redo record of the dirty pages + metadata. The
-    // segment's visitor hands page spans straight to record serialization —
-    // the only copy is the one the persist itself requires. The serialize
-    // phase includes the incremental CRC AppendPage computes over each page.
+    // DC-disk: a redo record of the dirty pages + metadata. The segment's
+    // visitor hands page spans straight to record serialization — the only
+    // copy is the one the persist itself requires. The serialize phase
+    // includes the incremental CRC AppendPage computes over each page.
     ftx_store::RedoRecord record;
     {
       FTX_PROF_SCOPE("commit.serialize_crc");
-      record.ReservePages(pages, segment_->page_size());
+      record.ReservePages(commit.pages, segment_->page_size());
       segment_->ForEachPersistedDirtyPage(
           [&record](int64_t offset, const uint8_t* image, size_t size) {
             record.AppendPage(offset, image, size);
           });
       ftx::AppendValue(&record.metadata, meta);
     }
-    payload_bytes = record.PayloadBytes() + 64;
-    if (GroupCommitActive()) {
-      // Group commit: stage the record into the open window instead of
-      // syncing it now. The window's single sync pair is paid at flush —
-      // policy trip, ND-visible/send event, coordinated round, or clean
-      // shutdown — and nothing is *reported* committed (trace event, audit
-      // breakdown, message release) until then, so Save-work is untouched.
-      bool must_flush = false;
-      {
-        FTX_PROF_SCOPE("commit.stage");
-        must_flush = env_.commit_pipeline->Stage(std::move(record));
-      }
-      StagedCommitMeta sm;
-      sm.coordinated = coordinated;
-      sm.atomic_group = atomic_group;
-      sm.pages = pages;
-      sm.payload_bytes = payload_bytes;
-      sm.fixed_cost = fixed_cost;
-      sm.capture_cost = before_image_cost;
-      sm.reprotect_cost = reprotect_cost;
-      sm.begin_ns = (Now() + (in_step_ ? step_cost_ : pending_overhead_)).nanos();
-      staged_meta_.push_back(sm);
-
-      committed_ = meta;
-      {
-        FTX_PROF_SCOPE("commit.reprotect");
-        segment_->Commit();
-      }
-      communicated_.Clear();  // dependencies up to here ride this window
-      ++stats_.commits;
-      if (coordinated) {
-        ++stats_.coordinated_commits;
-      }
-      stats_.commit_time += cost;  // capture portion; the window adds at flush
-      stats_.pages_committed += pages;
-      if (env_.tracer != nullptr) {
-        ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-        env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc", "commit(stage)", base,
-                           base + cost);
-      }
-      protocol_->OnCommitted();
-      if (must_flush || coordinated) {
-        // Coordinated rounds externalize through protocol messages, so a
-        // 2PC commit must be durable before the round reports completion.
-        cost += FlushCommitWindow();
-      }
-      return cost;
-    }
-    persist_cost = env_.store->PersistCost(payload_bytes);
-    cost += persist_cost;
-    stats_.bytes_persisted += payload_bytes;
-    {
-      FTX_PROF_SCOPE("commit.persist");
-      env_.redo_log->Append(std::move(record));
-    }
+    commit.payload_bytes = record.PayloadBytes() + 64;
+    // The record joins the open window; nothing is reported committed
+    // until the window's sync pair lands, so Save-work is untouched.
+    FTX_PROF_SCOPE("commit.stage");
+    must_flush = env_.commit_pipeline->Stage(std::move(record));
   } else {
     // Rio: data is already in the persistent segment; commit atomically
-    // discards the undo log. Charge the (memory-speed) cost of retiring it.
-    payload_bytes = segment_->undo_bytes();
-    persist_cost = env_.store->PersistCost(payload_bytes);
-    cost += persist_cost;
-    stats_.bytes_persisted += payload_bytes;
+    // discards the undo log.
+    commit.payload_bytes = segment_->undo_bytes();
   }
   committed_ = meta;
-
   {
-    // Host-time equivalent of the reprotect_cost charge above: retire the
-    // undo log and clear the dirty bitmaps.
+    // Host-time equivalent of the reprotect_cost charge: retire the undo
+    // log and clear the dirty bitmaps.
     FTX_PROF_SCOPE("commit.reprotect");
     segment_->Commit();
   }
-  env_.transport->ReleaseAllDelivered(pid_);
-  communicated_.Clear();  // dependencies up to here are now stable
-
+  communicated_.Clear();  // dependencies up to here ride this commit
   ++stats_.commits;
   if (coordinated) {
     ++stats_.coordinated_commits;
   }
   stats_.commit_time += cost;
-  stats_.pages_committed += pages;
-
-  if (env_.audit != nullptr) {
-    // Stage the component breakdown so the audit ledger can attach it to the
-    // kCommit trace event appended just below. Purely observational: every
-    // quantity here was already computed for the charge above.
-    ftx_causal::CommitCosts cc;
-    cc.fixed_ns = fixed_cost.nanos();
-    cc.before_image_ns = before_image_cost.nanos();
-    cc.reprotect_ns = reprotect_cost.nanos();
-    cc.persist_ns = persist_cost.nanos();
-    cc.pages = pages;
-    cc.payload_bytes = payload_bytes;
-    const ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-    cc.begin_ns = base.nanos();
-    cc.end_ns = (base + cost).nanos();
-    env_.audit->StageCommitCosts(pid_, cc);
-  }
-  if (env_.trace != nullptr) {
-    env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", atomic_group);
-  }
-  if (commit_hist_ != nullptr) {
-    commit_hist_->Observe(cost.nanos());
-  }
-  if (env_.tracer != nullptr) {
-    // The commit occupies the simulated interval just past what this process
-    // has already accrued (the clock itself only advances between events).
-    ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
-                       coordinated ? "commit(2pc)" : "commit", base, base + cost);
-  }
+  stats_.pages_committed += commit.pages;
   protocol_->OnCommitted();
+
+  if (env_.redo_log == nullptr) {
+    // Charge the (memory-speed) cost of retiring the undo log; the commit
+    // is durable now.
+    const ftx::Duration persist = env_.store->PersistCost(commit.payload_bytes);
+    stats_.commit_time += persist;
+    stats_.bytes_persisted += commit.payload_bytes;
+    cost += persist;
+    ReportCommits({&commit, 1}, persist, commit.begin + cost);
+    return cost;
+  }
+  staged_.push_back(commit);
+  if (must_flush || coordinated) {
+    // Coordinated rounds externalize through protocol messages, so a 2PC
+    // commit must be durable before the round reports completion.
+    cost += FlushCommitWindow(cost);
+  }
   return cost;
 }
 
-bool Runtime::GroupCommitActive() const {
-  return env_.commit_pipeline != nullptr && env_.commit_pipeline->policy().enabled &&
-         env_.redo_log != nullptr && mode_ == RuntimeMode::kRecoverable;
-}
-
-ftx::Duration Runtime::FlushCommitWindow() {
-  if (!GroupCommitActive() || env_.commit_pipeline->empty()) {
+ftx::Duration Runtime::FlushCommitWindow(ftx::Duration unaccrued) {
+  if (staged_.empty()) {
     return ftx::Duration();
   }
   FTX_PROF_SCOPE("commit.window_flush");
-  const int64_t records = env_.commit_pipeline->staged_records();
-  FTX_CHECK_EQ(records, static_cast<int64_t>(staged_meta_.size()));
+  const auto records = static_cast<int64_t>(staged_.size());
+  FTX_CHECK_EQ(records, env_.commit_pipeline->staged_records());
   int64_t window_bytes = 0;
-  for (const StagedCommitMeta& sm : staged_meta_) {
-    window_bytes += sm.payload_bytes;
+  for (const UnreportedCommit& commit : staged_) {
+    window_bytes += commit.payload_bytes;
   }
   {
     FTX_PROF_SCOPE("commit.persist");
     env_.commit_pipeline->Flush();
   }
-  const ftx::Duration window_cost = env_.store->WindowPersistCost(records, window_bytes);
+  // One pair of sync I/Os for the whole window: only the transfer grows
+  // with the payload.
+  const ftx::Duration window_cost = env_.store->PersistCost(window_bytes);
   // Overlap credit: a pipelined implementation captures + CRCs record N+1
-  // while record N's window I/O is in flight. The capture cost of records
-  // 2..N was already charged at their stage time; hand it back here, capped
-  // at the window share the earlier records' I/O occupies (a singleton
-  // window gets no credit — there is nothing to overlap with).
+  // while record N's window I/O is in flight. The before-image cost of
+  // records 2..N was already charged at their stage time; hand it back
+  // here, capped at the window share the earlier records' I/O occupies (a
+  // singleton window gets no credit — there is nothing to overlap with).
   ftx::Duration credit;
-  for (size_t i = 1; i < staged_meta_.size(); ++i) {
-    credit += staged_meta_[i].capture_cost;
+  for (size_t i = 1; i < staged_.size(); ++i) {
+    credit += staged_[i].before_image_cost;
   }
   const ftx::Duration cap = ftx::Nanoseconds(window_cost.nanos() * (records - 1) / records);
   if (credit > cap) {
@@ -452,41 +380,60 @@ ftx::Duration Runtime::FlushCommitWindow() {
   stats_.commit_time += cost;
   stats_.bytes_persisted += window_bytes;
 
-  const ftx::TimePoint base = Now() + (in_step_ ? step_cost_ : pending_overhead_);
-  for (const StagedCommitMeta& sm : staged_meta_) {
+  ReportCommits(staged_, cost, Now() + Accrued() + unaccrued + cost);
+  staged_.clear();
+  return cost;
+}
+
+void Runtime::ReportCommits(std::span<const UnreportedCommit> commits, ftx::Duration persist,
+                            ftx::TimePoint end) {
+  const auto n = static_cast<int64_t>(commits.size());
+  for (int64_t i = 0; i < n; ++i) {
+    const UnreportedCommit& commit = commits[static_cast<size_t>(i)];
+    // This commit's share of the persist charge; the shares sum to it
+    // exactly, so per-commit costs add up to dc.commit_ns.
+    const ftx::Duration share =
+        ftx::Nanoseconds(persist.nanos() / n + (i < persist.nanos() % n ? 1 : 0));
     if (env_.audit != nullptr) {
+      // Stage the component breakdown so the audit ledger can attach it to
+      // the kCommit trace event appended just below. Purely observational:
+      // every quantity here was already computed for the charge.
       ftx_causal::CommitCosts cc;
-      cc.fixed_ns = sm.fixed_cost.nanos();
-      cc.before_image_ns = sm.capture_cost.nanos();
-      cc.reprotect_ns = sm.reprotect_cost.nanos();
-      cc.persist_ns = window_cost.nanos() / records;  // per-record window share
-      cc.pages = sm.pages;
-      cc.payload_bytes = sm.payload_bytes;
-      cc.begin_ns = sm.begin_ns;
-      cc.end_ns = (base + cost).nanos();
+      cc.fixed_ns = commit.fixed_cost.nanos();
+      cc.before_image_ns = commit.before_image_cost.nanos();
+      cc.reprotect_ns = commit.reprotect_cost.nanos();
+      cc.persist_ns = share.nanos();
+      cc.pages = commit.pages;
+      cc.payload_bytes = commit.payload_bytes;
+      cc.begin_ns = commit.begin.nanos();
+      cc.end_ns = end.nanos();
       env_.audit->StageCommitCosts(pid_, cc);
     }
     if (env_.trace != nullptr) {
-      env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", sm.atomic_group);
+      env_.trace->Append(pid_, ftx_sm::EventKind::kCommit, -1, false, "", commit.atomic_group);
     }
     if (commit_hist_ != nullptr) {
-      commit_hist_->Observe(sm.capture_cost.nanos() + cost.nanos() / records);
+      commit_hist_->Observe((commit.CaptureCost() + share).nanos());
     }
   }
   if (env_.tracer != nullptr) {
-    env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc",
-                       "commit(window x" + std::to_string(records) + ")", base, base + cost);
+    // The commits occupy the simulated interval from the first one's
+    // instant to the sync that made them durable (the clock itself only
+    // advances between events).
+    std::string name = commits.size() > 1
+                           ? "commit(window x" + std::to_string(commits.size()) + ")"
+                           : (commits.front().coordinated ? "commit(2pc)" : "commit");
+    env_.tracer->Span(pid_, ftx_obs::TraceLane::kStorage, "dc", std::move(name),
+                       commits.front().begin, end);
   }
   env_.transport->ReleaseAllDelivered(pid_);
-  staged_meta_.clear();
-  return cost;
 }
 
 void Runtime::DropStagedCommits() {
   if (env_.commit_pipeline != nullptr) {
     env_.commit_pipeline->Drop();
   }
-  staged_meta_.clear();
+  staged_.clear();
 }
 
 void Runtime::AppendCoordinationEvent(ftx_sm::EventKind kind, int64_t message_id) {
@@ -507,13 +454,9 @@ void Runtime::ChargeToStep(ftx::Duration cost) {
   }
 }
 
-ftx::Duration Runtime::CommitNow(bool coordinated, bool charge_inline, int64_t atomic_group) {
+ftx::Duration Runtime::CommitNow(bool coordinated, int64_t atomic_group) {
   ftx::Duration cost = DoCommit(coordinated, atomic_group);
-  if (charge_inline) {
-    Charge(cost);
-  } else {
-    pending_overhead_ += cost;
-  }
+  pending_overhead_ += cost;
   return cost;
 }
 

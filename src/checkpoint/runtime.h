@@ -8,8 +8,10 @@
 //    undo log, reset page protections (cost model: fixed + per-dirty-page).
 //  * Kernel state is preserved by intercepting syscalls, capturing their
 //    parameters, and reconstructing kernel state by replay during recovery.
-//  * DC-disk writes a redo record (dirty pages + metadata) synchronously to
-//    a modeled disk at each commit and recovers by replaying the redo chain.
+//  * DC-disk writes a redo record (dirty pages + metadata) to a modeled disk
+//    and recovers by replaying the redo chain. Every record goes through a
+//    group-commit window (src/storage/commit_pipeline.h); with batching off
+//    each window holds one record and is synced at its own commit.
 //  * Non-deterministic user input and receives can be logged to render them
 //    deterministic (the -LOG protocols); recovery replays the log.
 //
@@ -24,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,8 +107,8 @@ struct RuntimeStats {
 // Everything a Runtime needs from the surrounding computation now arrives
 // through the backend-agnostic ftx::env::Environment (src/env/env.h): a
 // Clock, a Transport, the kernel, trace/recorder/store/redo_log, the 2PC
-// hooks, and the optional observability sinks. Construct one with
-// Environment::Builder, which validates required dependencies by name.
+// hooks, and the optional observability sinks. The constructor checks the
+// required fields and names any that is missing.
 class Runtime : public ProcessEnv {
  public:
   Runtime(int pid, int num_processes, App* app, std::unique_ptr<ftx_proto::Protocol> protocol,
@@ -135,10 +138,10 @@ class Runtime : public ProcessEnv {
   ftx::Duration RestartFromScratch();
 
   // Local commit; exposed for 2PC participation (the coordinator commits
-  // other processes through this). Returns the commit's simulated cost;
-  // when `charge_inline` is false the cost is added to pending overhead and
-  // charged at this process's next step.
-  ftx::Duration CommitNow(bool coordinated, bool charge_inline, int64_t atomic_group = -1);
+  // other processes through this). Returns the commit's simulated cost,
+  // which is also added to pending overhead and charged at this process's
+  // next step.
+  ftx::Duration CommitNow(bool coordinated, int64_t atomic_group = -1);
 
   // --- 2PC coordination hooks (used by the Computation runner) ---
 
@@ -219,21 +222,24 @@ class Runtime : public ProcessEnv {
     }
   };
 
-  // One staged (not yet durable) group commit's deferred bookkeeping: what
-  // the runtime still owes the observers — audit cost breakdown, kCommit
-  // trace event, retained-message release — once the window's sync lands.
-  // The storage-side redo record itself is staged in env_.commit_pipeline.
-  struct StagedCommitMeta {
+  // A commit that has been made but not yet reported: what the runtime
+  // still owes the observers (audit breakdown, kCommit trace event,
+  // dc.commit_ns observation, span) once the commit is durable. A Rio commit
+  // is reported as soon as it is made; a DC-disk commit when its
+  // group-commit window flushes. The redo record itself waits in
+  // env_.commit_pipeline.
+  struct UnreportedCommit {
     bool coordinated = false;
     int64_t atomic_group = -1;
     int64_t pages = 0;
     int64_t payload_bytes = 0;
     ftx::Duration fixed_cost;
-    ftx::Duration capture_cost;  // before-image copy + serialize/CRC; the
-                                 // portion a pipelined implementation hides
-                                 // under the persist of earlier records
+    ftx::Duration before_image_cost;  // the share a pipelined implementation
+                                      // hides under earlier records' persist
     ftx::Duration reprotect_cost;
-    int64_t begin_ns = 0;  // simulated stage instant (audit interval start)
+    ftx::TimePoint begin;  // simulated instant the commit was made
+
+    ftx::Duration CaptureCost() const { return fixed_cost + before_image_cost + reprotect_cost; }
   };
 
   // Auxiliary (non-segment) state that must travel with commits.
@@ -272,23 +278,36 @@ class Runtime : public ProcessEnv {
   // true commit instant.
   void FlushPendingCommit();
 
+  // Makes a commit and returns its simulated cost; the caller charges it.
+  // Rio commits are reported at once. A DC-disk commit stages its redo
+  // record into the open group-commit window and is reported when that
+  // window flushes: here, when the policy closes the window (always, with
+  // batching off) or the commit is coordinated, and otherwise at the next
+  // output commit or clean shutdown.
   ftx::Duration DoCommit(bool coordinated, int64_t atomic_group = -1);
 
-  // True when commits are being staged into group-commit windows: an
-  // enabled CommitPipeline is attached, the store is a redo log (DC-disk),
-  // and the runtime is recoverable.
-  bool GroupCommitActive() const;
-
   // Persists the open group-commit window — one pair of sync I/Os for every
-  // staged record — then emits the deferred per-record observers (audit
-  // breakdown, kCommit trace events in stage order) and releases retained
-  // messages. Returns the window's simulated cost after the pipeline
-  // overlap credit; zero when nothing is staged. The caller charges it.
-  ftx::Duration FlushCommitWindow();
+  // staged record — and reports its commits. Returns the window's simulated
+  // cost after the pipeline overlap credit; zero when nothing is staged.
+  // `unaccrued` is cost the caller has incurred but not yet charged (it
+  // places the window on the timeline).
+  ftx::Duration FlushCommitWindow(ftx::Duration unaccrued = ftx::Duration());
+
+  // The one place a commit is reported. `commits` became durable together
+  // at `end` under one `persist` charge, which they share equally. Stages
+  // each commit's audit costs, appends its kCommit trace event and observes
+  // dc.commit_ns, then records one span and releases the retained messages
+  // the commits cover.
+  void ReportCommits(std::span<const UnreportedCommit> commits, ftx::Duration persist,
+                     ftx::TimePoint end);
 
   // Crash/kill/restart path: staged records never became durable and were
   // never reported committed — forget them (all-or-prefix semantics).
   void DropStagedCommits();
+
+  // Cost this process has accrued but the clock has not yet advanced past:
+  // the running step's, or the pending overhead between steps.
+  ftx::Duration Accrued() const { return in_step_ ? step_cost_ : pending_overhead_; }
 
   // Registers "p<pid>.*" probes over stats_ and creates the owned
   // instruments below. Called from the constructor when env_.metrics is
@@ -328,9 +347,9 @@ class Runtime : public ProcessEnv {
   int64_t step_count_ = 0;
   bool pending_commit_ = false;
   CommittedMeta committed_;
-  // Deferred observer bookkeeping for records staged in the group-commit
-  // pipeline, parallel (same order) to env_.commit_pipeline's window.
-  std::vector<StagedCommitMeta> staged_meta_;
+  // Commits whose redo records wait in env_.commit_pipeline's open window,
+  // in stage order.
+  std::vector<UnreportedCommit> staged_;
 
   ftx::Duration step_cost_;
   ftx::Duration pending_overhead_;  // costs charged outside a step (2PC)

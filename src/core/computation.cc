@@ -8,6 +8,12 @@
 #include "src/protocol/coordination.h"
 
 namespace ftx {
+namespace {
+
+// Runaway guard: a run that executes more simulated events than this aborts.
+constexpr int64_t kMaxSimEvents = 200000000;
+
+}  // namespace
 
 Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr<ftx_dc::App>> apps)
     : options_(std::move(options)), apps_(std::move(apps)) {
@@ -15,24 +21,24 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
   const int n = num_processes();
 
   sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed);
-  network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n, options_.network);
+  network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n);
   // The runtimes consume the simulator/network only through the env::sim
   // adapters (pure forwarding — the Computation runner IS the sim backend).
   env_clock_ = std::make_unique<ftx::env::SimClock>(sim_.get());
   env_transport_ = std::make_unique<ftx::env::SimTransport>(network_.get());
-  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), n, options_.kernel_limits);
+  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), n);
   // The audit needs full vector clocks, so it overrides lean_trace.
   ftx_sm::TraceOptions trace_options;
   trace_options.record_clocks = !options_.lean_trace || options_.audit;
   trace_ = std::make_unique<ftx_sm::Trace>(n, trace_options);
 
-  tracer_.SetEnabled(options_.enable_tracing || !options_.trace_path.empty());
+  tracer_.SetEnabled(!options_.trace_path.empty());
   sim_->BindMetrics(&metrics_);
   network_->BindMetrics(&metrics_);
   kernel_->BindMetrics(&metrics_);
 
   if (options_.audit && options_.mode == ftx_dc::RuntimeMode::kRecoverable) {
-    audit_ = std::make_unique<ftx_causal::CausalAudit>(n, options_.audit_options);
+    audit_ = std::make_unique<ftx_causal::CausalAudit>(n);
     audit_->SetTimeSource([this]() { return sim_->Now().nanos(); });
     audit_->SetTracer(&tracer_);
     network_->SetMessageObserver([this](int64_t id, int src, int dst, int64_t bytes) {
@@ -40,8 +46,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
     });
   }
   if (options_.critical_path && options_.mode == ftx_dc::RuntimeMode::kRecoverable) {
-    critical_path_ =
-        std::make_unique<ftx_causal::CriticalPathTracker>(n, options_.critical_path_options);
+    critical_path_ = std::make_unique<ftx_causal::CriticalPathTracker>(n);
     critical_path_->SetTimeSource([this]() { return sim_->Now().nanos(); });
   }
   // The trace exposes a single append-observer slot; the audit and the
@@ -125,13 +130,9 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
         journal->SetClock([this]() { return sim_->Now(); });
         redo_log->AttachJournal(journal);
       }
-      if (options_.group_commit.enabled) {
-        commit_pipelines_.push_back(
-            std::make_unique<ftx_store::CommitPipeline>(redo_log, options_.group_commit));
-        commit_pipeline = commit_pipelines_.back().get();
-      } else {
-        commit_pipelines_.push_back(nullptr);
-      }
+      commit_pipelines_.push_back(
+          std::make_unique<ftx_store::CommitPipeline>(redo_log, options_.group_commit));
+      commit_pipeline = commit_pipelines_.back().get();
     } else if (options_.store == StoreKind::kVolatileMemory) {
       disks_.push_back(nullptr);
       stores_.push_back(std::make_unique<ftx_store::MemoryStore>());
@@ -144,27 +145,23 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       commit_pipelines_.push_back(nullptr);
     }
 
-    ftx::env::Environment::Builder env_builder;
-    env_builder.WithClock(env_clock_.get())
-        .WithTransport(env_transport_.get())
-        .WithKernel(kernel_.get())
-        .WithRecorder(&recorder_)
-        .WithStore(stores_.back().get())
-        .WithRedoLog(redo_log)
-        .WithCommitPipeline(commit_pipeline)
-        .WithCoordinatedCommit(
-            [this, pid](ftx_proto::CoordinationScope scope) { CoordinatedCommit(pid, scope); })
-        .WithLatestAtomicGroup([this]() { return next_atomic_group_ - 1; })
-        .WithMetrics(&metrics_)
-        .WithTracer(&tracer_)
-        .WithAudit(audit_.get());
     ftx::env::Environment env;
-    if (recoverable) {
-      env_builder.WithTrace(trace_.get());
-      env = env_builder.BuildRecoverable();
-    } else {
-      env = env_builder.Build();
-    }
+    env.clock = env_clock_.get();
+    env.transport = env_transport_.get();
+    env.kernel = kernel_.get();
+    env.trace = recoverable ? trace_.get() : nullptr;
+    env.recorder = &recorder_;
+    env.store = stores_.back().get();
+    env.redo_log = redo_log;
+    env.commit_pipeline = commit_pipeline;
+    env.coordinated_commit = [this, pid](ftx_proto::CoordinationScope scope) {
+      CoordinatedCommit(pid, scope);
+    };
+    env.latest_atomic_group = [this]() { return next_atomic_group_ - 1; };
+    env.metrics = &metrics_;
+    env.tracer = &tracer_;
+    env.audit = audit_.get();
+
     const std::string prefix = "p" + std::to_string(pid) + ".";
     if (disks_.back() != nullptr) {
       disks_.back()->BindMetrics(&metrics_, prefix);
@@ -215,11 +212,6 @@ ftx_store::WriteJournal* Computation::write_journal(int pid) {
 
 void Computation::SetInputScript(int pid, std::vector<Bytes> script) {
   runtime(pid).SetInputScript(std::move(script));
-}
-
-int Computation::recovery_attempts(int pid) const {
-  FTX_CHECK(pid >= 0 && pid < num_processes());
-  return recovery_attempts_[static_cast<size_t>(pid)];
 }
 
 bool Computation::recovery_abandoned(int pid) const {
@@ -364,8 +356,7 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
     int64_t prepare_id = next_coord_message_id_++;
     init_rt.AppendCoordinationEvent(ftx_sm::EventKind::kSend, prepare_id);
     rt.AppendCoordinationEvent(ftx_sm::EventKind::kReceive, prepare_id);
-    Duration commit_cost =
-        rt.CommitNow(/*coordinated=*/true, /*charge_inline=*/false, atomic_group);
+    Duration commit_cost = rt.CommitNow(/*coordinated=*/true, atomic_group);
     max_participant_commit = std::max(max_participant_commit, commit_cost);
     int64_t ack_id = next_coord_message_id_++;
     rt.AppendCoordinationEvent(ftx_sm::EventKind::kSend, ack_id);
@@ -374,12 +365,13 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
 
   Duration round;
   if (!participants.empty()) {
-    // Prepare + ack message latencies, overlapped across participants, plus
-    // the slowest participant's commit.
-    round += options_.network.base_latency * 2;
+    // Prepare + ack message latencies (the network runs with default
+    // options), overlapped across participants, plus the slowest
+    // participant's commit.
+    round += ftx_sim::NetworkOptions().base_latency * 2;
     round += max_participant_commit;
   }
-  round += init_rt.CommitNow(/*coordinated=*/false, /*charge_inline=*/false, atomic_group);
+  round += init_rt.CommitNow(/*coordinated=*/false, atomic_group);
   init_rt.ChargeToStep(round);
 
   metrics_.GetCounter("dc.2pc_rounds")->Increment();
@@ -413,6 +405,7 @@ void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_d
       return;
     }
     FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
+    ++crashes_landed_;
     rt.Kill();
     if (critical_path_ != nullptr) {
       // Stop failures never append a kCrash trace event (the process simply
@@ -447,6 +440,7 @@ void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
         return;
       }
       FTX_LOG(kInfo, "OS crash with volatile store: p%d restarts from scratch", pid);
+      ++crashes_landed_;
       rt.Kill();
       if (critical_path_ != nullptr) {
         critical_path_->OnCrash(pid);
@@ -483,7 +477,7 @@ ComputationResult Computation::Run() {
       break;
     }
     sim_->RunOne();
-    FTX_CHECK_MSG(++executed <= options_.max_sim_events,
+    FTX_CHECK_MSG(++executed <= kMaxSimEvents,
                   "computation exceeded simulated event limit");
   }
 

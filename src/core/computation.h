@@ -54,8 +54,6 @@ struct ComputationOptions {
   StoreKind store = StoreKind::kRio;
   ftx_dc::RuntimeMode mode = ftx_dc::RuntimeMode::kRecoverable;
   ftx_dc::RuntimeCosts costs;
-  ftx_sim::NetworkOptions network;
-  ftx_sim::KernelLimits kernel_limits;
   ftx_store::DiskParameters disk;
   // Fleet-scale trace mode: keep the replayable per-process event log but
   // skip the dense vector-clock snapshots (O(N) per event — quadratic
@@ -69,13 +67,13 @@ struct ComputationOptions {
   // every byte ever committed, and only the crash-state exploration engine
   // (src/torture/) consumes it. Never changes any simulated quantity.
   bool journal_disk_writes = false;
-  // DC-disk only: group-commit batching policy. Off by default — batching
-  // changes the disk write schedule and therefore simulated commit
-  // latencies, so golden-reproducing runs must leave it disabled (a
-  // disabled policy is byte-identical to one-sync-pair-per-commit). When
-  // enabled, each runtime stages commits into a ftx_store::CommitPipeline
-  // and whole windows persist under a single sync pair; the runtime forces
-  // a flush before any visible/send event, so Save-work is unaffected.
+  // DC-disk only: group-commit batching policy. Every DC-disk runtime
+  // stages its commits into a ftx_store::CommitPipeline; a disabled policy
+  // (the default) makes each window one record, synced at its own commit.
+  // Enabled, whole windows persist under a single sync pair, which changes
+  // the disk write schedule and therefore simulated commit latencies, so
+  // golden-reproducing runs leave it off. The runtime flushes the window
+  // before any visible/send event, so Save-work is unaffected.
   ftx_store::BatchPolicy group_commit;
   // Automatic recovery after a crash event (propagation-failure studies).
   bool auto_recover = true;
@@ -83,13 +81,11 @@ struct ComputationOptions {
   // A process that keeps crashing after this many recoveries is declared
   // unrecoverable (the fault study's "failed recovery" outcome).
   int max_recovery_attempts = 3;
-  // Run limits (simulated).
+  // Run limit (simulated).
   Duration max_sim_time = Seconds(7200);
-  int64_t max_sim_events = 200000000;
   // Simulated-timeline tracing (steps, commits, 2PC rounds, crashes,
-  // recoveries). When trace_path is non-empty, Run() additionally writes a
-  // Chrome trace_event JSON file there (open in Perfetto / chrome://tracing).
-  bool enable_tracing = false;
+  // recoveries), on when trace_path is non-empty: Run() writes a Chrome
+  // trace_event JSON file there (open in Perfetto / chrome://tracing).
   std::string trace_path;
   // Live causal audit (src/obs/causal/): vector-clock event ledger, online
   // Save-work verification, crash flight recorder, per-commit cost
@@ -98,7 +94,6 @@ struct ComputationOptions {
   // runs have no trace to audit). Off by default; tests and the --audit
   // bench flag turn it on.
   bool audit = false;
-  ftx_causal::CausalAuditOptions audit_options;
   // Simulated-time telemetry (src/obs/tsdb/): sample every registered
   // counter/gauge series on a fixed sim-time cadence, driven by the
   // simulator's pre-event hook. Strictly observational (the hook only reads
@@ -113,7 +108,6 @@ struct ComputationOptions {
   // dependent commit. Observer-only (same neutrality contract as the
   // audit); works with lean traces. Recoverable mode only.
   bool critical_path = false;
-  ftx_causal::CriticalPathOptions critical_path_options;
   // Test hook: when set, used instead of MakeProtocolByName(protocol) to
   // build each process's protocol (e.g. a deliberately broken
   // commit-too-little protocol the audit must flag). Called once per
@@ -153,7 +147,8 @@ class Computation {
   // --- failure injection ---
 
   // Stop failure: the process ceases execution at `at` and recovers (from
-  // its last commit) after `recovery_delay`.
+  // its last commit) after `recovery_delay`. A failure scheduled for a
+  // process that is already down or finished at `at` does nothing.
   void ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay = Milliseconds(50));
 
   // Whole-machine stop failure: every process stops at `at` and recovers
@@ -188,10 +183,11 @@ class Computation {
   // a scheduled recovery.
   ftx_store::RedoLog* redo_log(int pid);
   ftx_store::WriteJournal* write_journal(int pid);
-  // Non-null only in DC-disk mode with options.group_commit.enabled.
+  // DC-disk only (nullptr otherwise): the machine's group-commit pipeline.
   ftx_store::CommitPipeline* commit_pipeline(int pid);
   const ComputationOptions& options() const { return options_; }
-  int recovery_attempts(int pid) const;
+  // Stop failures (process or OS) that hit a live, unfinished process.
+  int64_t crashes_landed() const { return crashes_landed_; }
   // True when a process exhausted max_recovery_attempts (it kept crashing
   // after recovery — generic recovery failed).
   bool recovery_abandoned(int pid) const;
@@ -243,6 +239,7 @@ class Computation {
   std::vector<bool> recovery_abandoned_;
   int64_t next_coord_message_id_ = 1000000000000000LL;  // disjoint from network ids
   int64_t next_atomic_group_ = 1;
+  int64_t crashes_landed_ = 0;
   // AllDone() resume point: runtimes below this index are known done (done
   // is monotone), so the per-event loop check is amortized O(1).
   mutable size_t all_done_scan_ = 0;

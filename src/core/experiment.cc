@@ -20,10 +20,7 @@ std::unique_ptr<Computation> BuildComputation(const RunSpec& spec) {
   options.protocol = spec.protocol;
   options.store = spec.store;
   options.mode = spec.mode;
-  if (!spec.trace_path.empty()) {
-    options.enable_tracing = true;
-    options.trace_path = spec.trace_path;
-  }
+  options.trace_path = spec.trace_path;
   options.timeseries_path = spec.timeseries_path;
   options.audit = spec.audit;
   if (spec.tweak_options) {

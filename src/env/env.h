@@ -34,9 +34,9 @@
 //                 byte appended since the last Sync is lost. ReadDurable
 //                 returns exactly the synced prefix.
 //
-// Environment aggregates the per-process dependency set the runtime needs
-// and replaces the old raw-pointer grab-bag RuntimeDeps; its Builder
-// validates every required field at construction with a named-field error.
+// Environment aggregates the per-process dependency set the runtime needs;
+// the Runtime constructor checks every required field and names any that
+// is missing.
 
 #ifndef FTX_SRC_ENV_ENV_H_
 #define FTX_SRC_ENV_ENV_H_
@@ -182,12 +182,13 @@ struct KillSwitch {
   std::atomic<bool> armed{false};
 };
 
-// Per-process dependency set for ftx_dc::Runtime. Replaces RuntimeDeps.
+// Per-process dependency set for ftx_dc::Runtime.
 //
 // clock/transport/kernel/recorder are required for every runtime; trace and
-// store are additionally required for recoverable modes (the Runtime
-// constructor enforces that, since the mode is its parameter, with the same
-// named-field style). Everything else is optional.
+// store are additionally required for recoverable modes, and a recoverable
+// DC-disk runtime (redo_log set) needs its commit_pipeline. The Runtime
+// constructor enforces all of this and names the missing field. Everything
+// else is optional.
 struct Environment {
   Clock* clock = nullptr;
   Transport* transport = nullptr;
@@ -196,10 +197,10 @@ struct Environment {
   ftx_rec::OutputRecorder* recorder = nullptr;
   ftx_store::StableStore* store = nullptr;
   ftx_store::RedoLog* redo_log = nullptr;
-  // Optional group-commit staging pipeline over redo_log. When present and
-  // its policy is enabled, the runtime stages commits here and a whole
-  // window is persisted under one sync pair (flushed before anything
-  // externally visible escapes — the Save-work invariant is untouched).
+  // Group-commit staging pipeline over redo_log (required with it): every
+  // DC-disk commit stages its record here, and a whole window is persisted
+  // under one sync pair (flushed before anything externally visible
+  // escapes — the Save-work invariant is untouched).
   ftx_store::CommitPipeline* commit_pipeline = nullptr;
   // Initiates a coordinated commit round over the given participant scope.
   std::function<void(ftx_proto::CoordinationScope)> coordinated_commit;
@@ -208,41 +209,6 @@ struct Environment {
   ftx_obs::Registry* metrics = nullptr;    // optional
   ftx_obs::Tracer* tracer = nullptr;       // optional
   ftx_causal::CausalAudit* audit = nullptr;  // optional
-
-  class Builder;
-};
-
-// Validating builder: Build() FTX_CHECKs every required dependency and names
-// the missing field, replacing the scattered null-pointer crashes the old
-// RuntimeDeps produced.
-class Environment::Builder {
- public:
-  Builder& WithClock(Clock* clock);
-  Builder& WithTransport(Transport* transport);
-  Builder& WithKernel(ftx_sim::KernelSim* kernel);
-  Builder& WithTrace(ftx_sm::Trace* trace);
-  Builder& WithRecorder(ftx_rec::OutputRecorder* recorder);
-  Builder& WithStore(ftx_store::StableStore* store);
-  Builder& WithRedoLog(ftx_store::RedoLog* redo_log);
-  Builder& WithCommitPipeline(ftx_store::CommitPipeline* pipeline);
-  Builder& WithCoordinatedCommit(std::function<void(ftx_proto::CoordinationScope)> fn);
-  Builder& WithLatestAtomicGroup(std::function<int64_t()> fn);
-  Builder& WithMetrics(ftx_obs::Registry* metrics);
-  Builder& WithTracer(ftx_obs::Tracer* tracer);
-  Builder& WithAudit(ftx_causal::CausalAudit* audit);
-
-  // Validates clock, transport, kernel, recorder (required for every
-  // runtime) and returns the aggregate. Aborts with
-  //   "ftx::env::Environment: missing required dependency '<field>'"
-  // on the first absent field.
-  Environment Build() const;
-
-  // Additionally validates trace and store (required for recoverable
-  // runtime modes).
-  Environment BuildRecoverable() const;
-
- private:
-  Environment env_;
 };
 
 }  // namespace ftx::env

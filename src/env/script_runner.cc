@@ -17,29 +17,13 @@
 #include "src/env/thread_env.h"
 #include "src/protocol/coordination.h"
 #include "src/protocol/protocol.h"
+#include "src/protocol/script_replay.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/statemachine/event.h"
 
 namespace ftx::env {
 namespace {
-
-ftx_proto::AppEvent ToAppEvent(ftx_sm::EventKind kind) {
-  switch (kind) {
-    case ftx_sm::EventKind::kTransientNd:
-      return ftx_proto::AppEvent::kTransientNd;
-    case ftx_sm::EventKind::kFixedNd:
-      return ftx_proto::AppEvent::kUserInput;  // scripted fixed ND models user input
-    case ftx_sm::EventKind::kReceive:
-      return ftx_proto::AppEvent::kReceive;
-    case ftx_sm::EventKind::kSend:
-      return ftx_proto::AppEvent::kSend;
-    case ftx_sm::EventKind::kVisible:
-      return ftx_proto::AppEvent::kVisible;
-    default:
-      return ftx_proto::AppEvent::kInternal;
-  }
-}
 
 std::string Format(const char* fmt, ...) {
   char buf[192];
@@ -148,7 +132,8 @@ class ScriptExecutor {
       CrashAndRecover(p);
       return;
     }
-    ftx_proto::CommitDecision d = protocols_[static_cast<size_t>(p)]->Decide(ToAppEvent(ev.kind));
+    ftx_proto::CommitDecision d =
+        protocols_[static_cast<size_t>(p)]->Decide(ftx_proto::ToAppEvent(ev.kind));
     const bool logged = ev.logged || d.log_event;
     if (logged && ftx_sm::IsNonDeterministic(ev.kind)) {
       ++log_.logged_events;

@@ -9,7 +9,6 @@
 #include "src/protocol/protocol.h"
 
 namespace ftx_proto {
-namespace {
 
 AppEvent ToAppEvent(ftx_sm::EventKind kind) {
   switch (kind) {
@@ -27,6 +26,8 @@ AppEvent ToAppEvent(ftx_sm::EventKind kind) {
       return AppEvent::kInternal;
   }
 }
+
+namespace {
 
 class Replayer {
  public:

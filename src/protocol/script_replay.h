@@ -10,6 +10,7 @@
 
 #include <string_view>
 
+#include "src/protocol/protocol.h"
 #include "src/statemachine/random_model.h"
 #include "src/statemachine/trace.h"
 
@@ -23,6 +24,11 @@ struct ScriptReplayResult {
 
   explicit ScriptReplayResult(int num_processes) : trace(num_processes) {}
 };
+
+// The application event a scripted event stands for (a scripted fixed-ND
+// event models user input). Shared by ReplayScript and the cross-backend
+// ScriptExecutor (src/env/script_runner.cc).
+AppEvent ToAppEvent(ftx_sm::EventKind kind);
 
 // Replays `script` (a valid execution order; see MakeRandomScript) under
 // the named protocol, one instance per process. Coordinated commits emit

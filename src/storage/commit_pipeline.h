@@ -1,25 +1,25 @@
 // Group-commit staging pipeline for the DC-disk redo log.
 //
 // The paper's DC-disk pays two synchronous I/Os (seek + rotation each) per
-// commit — the dominant cost at small record sizes. The pipeline amortizes
-// that mechanical overhead: commits *stage* their redo records here, and a
-// whole window of staged records is persisted by RedoLog::AppendBatch under
-// a single pair of sync barriers. The Save-work invariant is untouched
-// because staging is invisible to the outside world — a commit is only
-// *reported* committed (trace event, message release, externalization)
-// after its window's sync completes, and the runtime forces a flush before
-// any nondeterminism-visible event escapes.
+// commit — the dominant cost at small record sizes. Every DC-disk commit
+// *stages* its redo record here, and a whole window of staged records is
+// persisted by RedoLog::AppendBatch under a single pair of sync barriers.
+// The Save-work invariant is untouched because staging is invisible to the
+// outside world — a commit is only *reported* committed (trace event,
+// message release, externalization) after its window's sync completes, and
+// the runtime forces a flush before any nondeterminism-visible event
+// escapes.
 //
-// The batching policy is opt-in (enabled = false leaves every commit a
-// singleton window, byte-identical to the unbatched path). A window closes
-// when it reaches max_records, when its payload crosses max_bytes, or when
-// the caller forces a flush (ND-visible event, coordinated commit, clean
-// shutdown).
+// Batching is opt-in: with the policy disabled every window is one record,
+// flushed by the commit that staged it — the paper's one sync pair per
+// commit. An enabled window closes when it reaches max_records, when its
+// payload crosses max_bytes, or when the caller forces a flush (ND-visible
+// event, coordinated commit, clean shutdown).
 //
 // The pipeline owns only the storage-side state (the staged records and
 // their payload accounting); per-record runtime bookkeeping — costs to
 // charge, trace/audit entries to emit at flush — stays with the runtime,
-// which keeps a parallel vector of staged metadata.
+// which keeps a parallel vector of its unreported commits.
 
 #ifndef FTX_SRC_STORAGE_COMMIT_PIPELINE_H_
 #define FTX_SRC_STORAGE_COMMIT_PIPELINE_H_
@@ -31,9 +31,10 @@
 
 namespace ftx_store {
 
-// Group-commit batching policy. Disabled by default: batching changes the
-// sector/barrier write schedule (and therefore simulated commit latencies),
-// so runs meant to reproduce the committed goldens must leave it off.
+// Group-commit batching policy. Disabled by default (every window is one
+// record): batching changes the sector/barrier write schedule (and
+// therefore simulated commit latencies), so runs meant to reproduce the
+// committed goldens must leave it off.
 struct BatchPolicy {
   bool enabled = false;
   // Window closes when it holds this many records...
@@ -49,13 +50,14 @@ class CommitPipeline {
   CommitPipeline(RedoLog* log, BatchPolicy policy) : log_(log), policy_(policy) {}
 
   // Stages a record into the open window. Returns true when the policy
-  // requires the window to flush now (max_records reached, or max_bytes
-  // crossed — the overflow record is inside the window).
+  // requires the window to flush now: always when batching is off,
+  // otherwise when max_records is reached or max_bytes crossed (the
+  // overflow record is inside the window).
   bool Stage(RedoRecord record);
 
   // Persists the open window via RedoLog::AppendBatch — one sync window for
-  // everything staged. Returns the summed payload bytes appended (what the
-  // unbatched path's Append returns per record), or 0 when nothing staged.
+  // everything staged. Returns the summed payload bytes appended, or 0 when
+  // nothing is staged.
   int64_t Flush();
 
   // Crash/kill path: forget the staged window. Staged records were never
@@ -66,7 +68,6 @@ class CommitPipeline {
   bool empty() const { return staged_.empty(); }
   int64_t staged_records() const { return static_cast<int64_t>(staged_.size()); }
   int64_t staged_bytes() const { return staged_bytes_; }
-  const BatchPolicy& policy() const { return policy_; }
 
  private:
   RedoLog* log_;

@@ -28,6 +28,13 @@ using ftx_store::kLogStartOffset;
 using ftx_store::kSectorBytes;
 using ftx_store::RedoRecord;
 
+// Torn-final-sector variants generated per sector-write prefix (each picks
+// a seeded cut point; half stop-early, half trailing-garbage).
+constexpr int kTornVariants = 2;
+// Reorder variants generated per prefix whose unsynced epoch holds more than
+// one in-flight sector write (each applies a seeded strict subset).
+constexpr int kReorderVariants = 2;
+
 // One enumerated crash state. `gen_k` is the op index the state was
 // generated at; `base` is the op prefix fully applied before any variant
 // bytes (for kPrefix it equals gen_k, for kTorn* it is gen_k - 1, for
@@ -758,7 +765,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
 
       ftx::Rng torn_rng =
           ftx::Rng(ftx::DeriveTrialSeed(spec.seed, static_cast<uint64_t>(k))).Fork(1);
-      for (int v = 0; v < spec.torn_variants; ++v) {
+      for (int v = 0; v < kTornVariants; ++v) {
         CrashState torn;
         torn.kind = v % 2 == 0 ? CrashState::Kind::kTorn : CrashState::Kind::kTornJunk;
         torn.gen_k = k;
@@ -774,7 +781,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
       // [epoch_begin, k)'s writes plus this one); a crash exposes any
       // subset of them, so sample strict, non-trivial subsets.
       if (epoch_writes >= 2) {
-        for (int v = 0; v < spec.reorder_variants; ++v) {
+        for (int v = 0; v < kReorderVariants; ++v) {
           CrashState reorder;
           reorder.kind = CrashState::Kind::kReorder;
           reorder.gen_k = k;
@@ -891,7 +898,7 @@ TortureReport ExploreCommitPath(const TortureSpec& spec, ftx::TrialPool* pool) {
             case CrashState::Kind::kReorder:
               if (subsets_k != state.gen_k) {
                 subsets = DeriveReorderSubsets(ops, spec.seed, state.gen_k, state.base,
-                                               spec.reorder_variants);
+                                               kReorderVariants);
                 subsets_k = state.gen_k;
               }
               subset = &subsets[static_cast<size_t>(state.reorder_variant)];

@@ -58,23 +58,17 @@ struct TortureSpec {
   uint64_t seed = 1;
   std::string protocol = "cpvs";
   bool interactive = true;
-  // Torn-final-sector variants generated per sector-write prefix (each
-  // picks a seeded cut point; half stop-early, half trailing-garbage).
-  int torn_variants = 2;
-  // Reorder variants generated per prefix whose unsynced epoch holds more
-  // than one in-flight sector write (each applies a seeded strict subset).
-  int reorder_variants = 2;
   // Caps exploration to the ops of the first N commit windows (0 = every
   // window). Smoke mode uses this to bound depth; --full leaves it at 0.
   int max_commit_windows = 0;
   // Group-commit window size for the traced and replayed runs (maps to
-  // ftx_store::BatchPolicy::max_records; <= 1 = the historical
-  // one-sync-pair-per-commit path). When > 1 the traced run stages commits
-  // through the CommitPipeline and whole windows persist under a single
-  // barrier pair, so the enumeration explores batched window shapes: the
-  // in-flight slot may advance the survivor to the window's *end* (several
-  // sequences past the last durable one), and an interrupted window must
-  // leave all-or-a-prefix of its records intact — never a hole.
+  // ftx_store::BatchPolicy::max_records; <= 1 leaves batching off, so every
+  // window is one record with its own sync pair). When > 1 whole windows of
+  // staged commits persist under a single barrier pair, so the enumeration
+  // explores batched window shapes: the in-flight slot may advance the
+  // survivor to the window's *end* (several sequences past the last durable
+  // one), and an interrupted window must leave all-or-a-prefix of its
+  // records intact — never a hole.
   int64_t batch_records = 1;
   // Replay every distinct survivor checkpoint through recovery (phase 5).
   // Decode-level exploration (phase 4) always runs.

@@ -1,7 +1,7 @@
 // Tests for the ftx::env execution-environment seam (src/env/):
 //
-//   * Environment::Builder validates every required dependency and names the
-//     missing field in its abort message;
+//   * the Runtime constructor checks every required Environment field and
+//     names the missing one in its abort message;
 //   * env::threads primitives uphold the seam contracts for real — the
 //     channel transport delivers in send order with the recovery-buffer
 //     semantics recovery depends on, and the file-backed stable medium
@@ -12,11 +12,14 @@
 //     included, and the sim path is --jobs invariant (safe to shard).
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/checkpoint/runtime.h"
 #include "src/common/rng.h"
 #include "src/core/parallel.h"
 #include "src/env/env.h"
@@ -29,6 +32,7 @@
 #include "src/sim/simulator.h"
 #include "src/statemachine/random_model.h"
 #include "src/statemachine/trace.h"
+#include "src/storage/commit_pipeline.h"
 #include "src/storage/stable_store.h"
 
 namespace {
@@ -39,8 +43,8 @@ using ftx::env::FileMedium;
 using ftx::env::KillSwitch;
 using ftx::env::Message;
 
-// A full set of valid dependencies for builder tests.
-struct BuilderFixture {
+// A full set of valid dependencies for the Runtime-constructor tests.
+struct EnvFixture {
   ftx_sim::Simulator sim{1};
   ftx_sim::Network network{&sim, 3};
   ftx::env::SimClock clock{&sim};
@@ -49,66 +53,89 @@ struct BuilderFixture {
   ftx_rec::OutputRecorder recorder;
   ftx_sm::Trace trace{3};
   ftx_store::RioStore store;
+  ftx_store::RedoLog redo_log;
+  ftx_store::CommitPipeline pipeline{&redo_log, ftx_store::BatchPolicy{}};
+
+  // Every field a recoverable Rio runtime requires.
+  Environment Recoverable() {
+    Environment env;
+    env.clock = &clock;
+    env.transport = &transport;
+    env.kernel = &kernel;
+    env.recorder = &recorder;
+    env.trace = &trace;
+    env.store = &store;
+    return env;
+  }
 };
 
-TEST(EnvBuilder, BuildSucceedsWithEveryRequiredDependency) {
-  BuilderFixture fx;
-  Environment env = Environment::Builder()
-                        .WithClock(&fx.clock)
-                        .WithTransport(&fx.transport)
-                        .WithKernel(&fx.kernel)
-                        .WithRecorder(&fx.recorder)
-                        .Build();
-  EXPECT_EQ(env.clock, &fx.clock);
-  EXPECT_EQ(env.transport, &fx.transport);
-  EXPECT_EQ(env.kernel, &fx.kernel);
-  EXPECT_EQ(env.recorder, &fx.recorder);
-  EXPECT_EQ(env.trace, nullptr);  // optional for non-recoverable builds
+class IdleApp : public ftx_dc::App {
+ public:
+  std::string_view name() const override { return "idle"; }
+  size_t SegmentBytes() const override { return 16 * 1024; }
+  void Init(ftx_dc::ProcessEnv& env) override { (void)env; }
+  ftx_dc::StepOutcome Step(ftx_dc::ProcessEnv& env) override {
+    (void)env;
+    return {ftx_dc::StepOutcome::Status::kDone, ftx::Duration()};
+  }
+};
+
+void MakeRuntime(Environment env, ftx_dc::RuntimeMode mode) {
+  IdleApp app;
+  std::unique_ptr<ftx_proto::Protocol> protocol;
+  if (mode == ftx_dc::RuntimeMode::kRecoverable) {
+    protocol = ftx_proto::MakeProtocolByName("cpvs");
+  }
+  ftx_dc::Runtime runtime(0, 3, &app, std::move(protocol), std::move(env), mode);
 }
 
-TEST(EnvBuilderDeathTest, BuildNamesEachMissingRequiredField) {
-  BuilderFixture fx;
-  EXPECT_DEATH(Environment::Builder()
-                   .WithTransport(&fx.transport)
-                   .WithKernel(&fx.kernel)
-                   .WithRecorder(&fx.recorder)
-                   .Build(),
-               "missing required dependency 'clock'");
-  EXPECT_DEATH(Environment::Builder()
-                   .WithClock(&fx.clock)
-                   .WithKernel(&fx.kernel)
-                   .WithRecorder(&fx.recorder)
-                   .Build(),
-               "missing required dependency 'transport'");
-  EXPECT_DEATH(Environment::Builder()
-                   .WithClock(&fx.clock)
-                   .WithTransport(&fx.transport)
-                   .WithRecorder(&fx.recorder)
-                   .Build(),
-               "missing required dependency 'kernel'");
-  EXPECT_DEATH(Environment::Builder()
-                   .WithClock(&fx.clock)
-                   .WithTransport(&fx.transport)
-                   .WithKernel(&fx.kernel)
-                   .Build(),
-               "missing required dependency 'recorder'");
+TEST(RuntimeEnv, ConstructsWithEveryRequiredDependency) {
+  EnvFixture fx;
+  Environment baseline = fx.Recoverable();
+  baseline.trace = nullptr;  // optional without recovery
+  baseline.store = nullptr;
+  MakeRuntime(baseline, ftx_dc::RuntimeMode::kBaseline);
+  MakeRuntime(fx.Recoverable(), ftx_dc::RuntimeMode::kRecoverable);
+  Environment disk = fx.Recoverable();
+  disk.redo_log = &fx.redo_log;
+  disk.commit_pipeline = &fx.pipeline;
+  MakeRuntime(disk, ftx_dc::RuntimeMode::kRecoverable);
 }
 
-TEST(EnvBuilderDeathTest, BuildRecoverableAdditionallyRequiresTraceAndStore) {
-  BuilderFixture fx;
-  Environment::Builder base = Environment::Builder()
-                                  .WithClock(&fx.clock)
-                                  .WithTransport(&fx.transport)
-                                  .WithKernel(&fx.kernel)
-                                  .WithRecorder(&fx.recorder);
-  EXPECT_DEATH(Environment::Builder(base).WithStore(&fx.store).BuildRecoverable(),
-               "missing required dependency 'trace'");
-  EXPECT_DEATH(Environment::Builder(base).WithTrace(&fx.trace).BuildRecoverable(),
-               "missing required dependency 'store'");
-  Environment env =
-      Environment::Builder(base).WithTrace(&fx.trace).WithStore(&fx.store).BuildRecoverable();
-  EXPECT_EQ(env.trace, &fx.trace);
-  EXPECT_EQ(env.store, &fx.store);
+TEST(RuntimeEnvDeathTest, NamesEachMissingRequiredField) {
+  EnvFixture fx;
+  const std::pair<const char*, void (*)(Environment&)> cases[] = {
+      {"clock", [](Environment& env) { env.clock = nullptr; }},
+      {"transport", [](Environment& env) { env.transport = nullptr; }},
+      {"kernel", [](Environment& env) { env.kernel = nullptr; }},
+      {"recorder", [](Environment& env) { env.recorder = nullptr; }},
+  };
+  for (const auto& [field, clear] : cases) {
+    Environment env = fx.Recoverable();
+    clear(env);
+    EXPECT_DEATH(MakeRuntime(env, ftx_dc::RuntimeMode::kBaseline),
+                 std::string("missing required dependency '") + field + "'");
+  }
+}
+
+TEST(RuntimeEnvDeathTest, RecoverableModeAdditionallyRequiresTraceAndStore) {
+  EnvFixture fx;
+  Environment no_trace = fx.Recoverable();
+  no_trace.trace = nullptr;
+  EXPECT_DEATH(MakeRuntime(no_trace, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'trace'");
+  Environment no_store = fx.Recoverable();
+  no_store.store = nullptr;
+  EXPECT_DEATH(MakeRuntime(no_store, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'store'");
+}
+
+TEST(RuntimeEnvDeathTest, DcDiskRequiresCommitPipeline) {
+  EnvFixture fx;
+  Environment env = fx.Recoverable();
+  env.redo_log = &fx.redo_log;
+  EXPECT_DEATH(MakeRuntime(env, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'commit_pipeline'");
 }
 
 TEST(ChannelTransport, DeliversInSendOrderWithIncreasingIds) {

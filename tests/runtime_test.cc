@@ -2,11 +2,14 @@
 // kernel-state reconstruction, ND-log replay, DC-disk redo recovery, and
 // cost accounting — driven through a purpose-built test application.
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "src/core/computation.h"
 #include "src/recovery/consistency.h"
 #include "src/statemachine/invariants.h"
+#include "src/statemachine/trace_format.h"
 
 namespace {
 
@@ -270,6 +273,126 @@ TEST(Runtime, GroupCommitSurvivesMidRunFailure) {
   EXPECT_EQ(state.steps, 40);
   EXPECT_EQ(state.accumulator, ExpectedAccumulator(40));
   EXPECT_GE(computation.runtime(0).stats().rollbacks, 1);
+}
+
+// A failure-free DC-disk CAND run of the counter app with the audit and the
+// Chrome tracer on, under the given group-commit policy.
+std::unique_ptr<ftx::Computation> RunDiskCand(ftx_store::BatchPolicy policy) {
+  ftx::ComputationOptions options;
+  options.seed = 7;
+  options.protocol = "cand";
+  options.store = ftx::StoreKind::kDisk;
+  options.audit = true;
+  options.group_commit = policy;
+  std::vector<std::unique_ptr<ftx_dc::App>> apps;
+  apps.push_back(std::make_unique<CounterApp>());
+  auto computation = std::make_unique<ftx::Computation>(options, std::move(apps));
+  computation->SetInputScript(0, TokenScript(40));
+  computation->tracer().SetEnabled(true);
+  EXPECT_TRUE(computation->Run().all_done);
+  return computation;
+}
+
+// Every Chrome trace event, one per line: spans, flows and the audit's
+// per-commit cost counters.
+std::string TracerDump(const ftx_obs::Tracer& tracer) {
+  std::ostringstream out;
+  for (const ftx_obs::TraceEvent& ev : tracer.events()) {
+    out << ev.phase << ' ' << ev.pid << ' ' << static_cast<int>(ev.lane) << ' ' << ev.category
+        << ' ' << ev.name << ' ' << ev.ts_ns << ' ' << ev.flow_id;
+    for (const auto& [key, value] : ev.counter_values) {
+      out << ' ' << key << '=' << static_cast<int64_t>(value);
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Every commit cost the audit ledger still holds, one per line.
+std::string LedgerCosts(const ftx_causal::CausalAudit& audit) {
+  std::ostringstream out;
+  audit.ledger().ForEach([&out](const ftx_causal::LedgerEntry& entry) {
+    if (entry.has_costs) {
+      const ftx_causal::CommitCosts& c = entry.costs;
+      out << ftx_causal::RefToString(entry.ref) << ' ' << c.fixed_ns << ' ' << c.before_image_ns << ' '
+          << c.reprotect_ns << ' ' << c.persist_ns << ' ' << c.pages << ' ' << c.payload_bytes
+          << ' ' << c.begin_ns << ' ' << c.end_ns << '\n';
+    }
+  });
+  return out.str();
+}
+
+TEST(Runtime, OneRecordWindowIsTheUnbatchedCommit) {
+  // Batching off makes every DC-disk commit a one-record window, so an
+  // enabled policy that closes each window at one record must report
+  // commits exactly as the default policy does.
+  ftx_store::BatchPolicy one;
+  one.enabled = true;
+  one.max_records = 1;
+  auto unbatched = RunDiskCand(ftx_store::BatchPolicy{});
+  auto single = RunDiskCand(one);
+
+  const ftx_dc::RuntimeStats& a = unbatched->runtime(0).stats();
+  const ftx_dc::RuntimeStats& b = single->runtime(0).stats();
+  EXPECT_EQ(a.commits, b.commits);
+  EXPECT_EQ(a.commit_time, b.commit_time);
+  EXPECT_EQ(a.pages_committed, b.pages_committed);
+  EXPECT_EQ(a.bytes_persisted, b.bytes_persisted);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.visible_events, b.visible_events);
+  EXPECT_EQ(ftx_sm::FormatTrace(unbatched->trace()), ftx_sm::FormatTrace(single->trace()));
+
+  const ftx_obs::MetricsSnapshot snap_a = unbatched->metrics().Snapshot();
+  const ftx_obs::MetricsSnapshot snap_b = single->metrics().Snapshot();
+  const ftx_obs::MetricValue* hist_a = snap_a.Find("dc.commit_ns");
+  const ftx_obs::MetricValue* hist_b = snap_b.Find("dc.commit_ns");
+  ASSERT_NE(hist_a, nullptr);
+  ASSERT_NE(hist_b, nullptr);
+  EXPECT_EQ(hist_a->count, hist_b->count);
+  EXPECT_EQ(hist_a->sum, hist_b->sum);
+  EXPECT_EQ(hist_a->min, hist_b->min);
+  EXPECT_EQ(hist_a->max, hist_b->max);
+  EXPECT_EQ(hist_a->bucket_counts, hist_b->bucket_counts);
+
+  EXPECT_EQ(LedgerCosts(*unbatched->audit()), LedgerCosts(*single->audit()));
+  EXPECT_EQ(TracerDump(unbatched->tracer()), TracerDump(single->tracer()));
+}
+
+TEST(Runtime, GroupCommitCostsAddUpToChargedCommitTime) {
+  // With real multi-record windows, every charged nanosecond of commit time
+  // is attributed to exactly one commit: the dc.commit_ns histogram and the
+  // audit's per-commit breakdowns both sum to the charged total, fixed
+  // cost, reprotect and the overlap credit included.
+  ftx_store::BatchPolicy eight;
+  eight.enabled = true;
+  eight.max_records = 8;
+  auto computation = RunDiskCand(eight);
+  const int64_t charged = computation->runtime(0).stats().commit_time.nanos();
+
+  const ftx_obs::MetricsSnapshot snap = computation->metrics().Snapshot();
+  EXPECT_EQ(snap.TotalCounter("dc.commit_ns"), charged);
+  const ftx_obs::MetricValue* hist = snap.Find("dc.commit_ns");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, computation->runtime(0).stats().commits);
+  EXPECT_EQ(hist->sum, charged);
+
+  // The audit emits one cost counter per reported commit; unlike the
+  // ledger ring, the tracer keeps them all.
+  int64_t audited = 0;
+  int64_t audited_commits = 0;
+  bool multi_record_window = false;
+  for (const ftx_obs::TraceEvent& ev : computation->tracer().events()) {
+    if (ev.phase == 'C' && ev.name == "commit cost (ns)") {
+      ++audited_commits;
+      for (const auto& [component, ns] : ev.counter_values) {
+        audited += static_cast<int64_t>(ns);
+      }
+    }
+    multi_record_window |= ev.name.rfind("commit(window x", 0) == 0;
+  }
+  EXPECT_TRUE(multi_record_window);
+  EXPECT_EQ(audited_commits, computation->runtime(0).stats().commits);
+  EXPECT_EQ(audited, charged);
 }
 
 TEST(Runtime, BaselineModeDoesNoRecoveryWork) {

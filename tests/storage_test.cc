@@ -297,6 +297,22 @@ TEST(CommitPipeline, WindowFillsAtMaxRecordsAndFlushesUnderOneSlot) {
   EXPECT_EQ(slot_writes, 1);
 }
 
+TEST(CommitPipeline, DisabledPolicyMakesEveryRecordItsOwnWindow) {
+  // Batching off is a window of one record: every Stage asks for a flush,
+  // whatever max_records says.
+  ftx_store::RedoLog log;
+  ftx_store::WriteJournal journal;
+  log.AttachJournal(&journal);
+  ftx_store::CommitPipeline pipeline(&log, ftx_store::BatchPolicy{});
+  for (uint8_t fill = 1; fill <= 3; ++fill) {
+    EXPECT_TRUE(pipeline.Stage(PageRecord(fill)));
+    EXPECT_EQ(pipeline.staged_records(), 1);
+    EXPECT_GT(pipeline.Flush(), 0);
+  }
+  EXPECT_EQ(log.records().size(), 3u);
+  EXPECT_EQ(journal.barriers(), 6);  // a sync pair per record
+}
+
 TEST(CommitPipeline, MaxBytesOverflowRecordJoinsItsWindow) {
   // The record that crosses max_bytes still joins the window (flush fires
   // right after staging it), so one oversized commit can never wedge the
