@@ -57,6 +57,10 @@ Runtime::Runtime(int pid, int num_processes, App* app,
                   "Runtime: recoverable mode requires dependency 'store'");
     FTX_CHECK_MSG(env_.redo_log == nullptr || env_.commit_pipeline != nullptr,
                   "Runtime: DC-disk requires dependency 'commit_pipeline'");
+  } else {
+    // A baseline process records no trace: there is no recovery to replay
+    // it and no commit to check against it.
+    env_.trace = nullptr;
   }
   segment_ = std::make_unique<ftx_vista::Segment>(app->SegmentBytes());
   if (app->HeapBytes() > 0) {
@@ -99,10 +103,6 @@ void Runtime::SetInputScript(std::vector<ftx::Bytes> script) {
   input_script_ = std::move(script);
 }
 
-void Runtime::SetCrashHandler(std::function<void(const std::string&)> handler) {
-  crash_handler_ = std::move(handler);
-}
-
 void Runtime::Initialize() {
   in_step_ = true;
   step_cost_ = ftx::Duration();
@@ -110,15 +110,10 @@ void Runtime::Initialize() {
   in_step_ = false;
   step_cost_ = ftx::Duration();
   // Checkpoint #0: "the initial state of any application is always
-  // committed". Its cost is excluded from overhead accounting (both the
-  // recoverable and baseline versions start from a settled initial state).
-  if (mode_ == RuntimeMode::kRecoverable) {
-    // "The initial state of any application is always committed" — durably:
-    // checkpoint #0 never waits in an open group-commit window.
-    FlushCommitWindow(DoCommit(/*coordinated=*/false));
-  } else {
-    segment_->Commit();
-  }
+  // committed" — durably: it never waits in an open group-commit window.
+  // Its cost is excluded from overhead accounting (both the recoverable and
+  // baseline versions start from a settled initial state).
+  FlushCommitWindow(DoCommit(/*coordinated=*/false));
   step_cost_ = ftx::Duration();
 }
 
@@ -168,12 +163,11 @@ void Runtime::FlushPendingCommit() {
 }
 
 ftx_proto::CommitDecision Runtime::PreEvent(ftx_proto::AppEvent event) {
-  ftx_proto::CommitDecision decision;
   if (mode_ == RuntimeMode::kBaseline) {
-    return decision;
+    return {};  // no protocol to consult and no interception to pay for
   }
   FlushPendingCommit();
-  decision = protocol_->Decide(event);
+  const ftx_proto::CommitDecision decision = protocol_->Decide(event);
   if (env_.audit != nullptr) {
     env_.audit->OnProtocolDecision(pid_, event, decision);
   }
@@ -220,6 +214,10 @@ void Runtime::PostEvent(ftx_proto::AppEvent event, const ftx_proto::CommitDecisi
     ++stats_.nd_events;
   }
   if (mode_ == RuntimeMode::kBaseline) {
+    // No recovery can need what a baseline process received or whom it
+    // talked to, so nothing is retained for one.
+    env_.transport->ReleaseAllDelivered(pid_);
+    communicated_.Clear();
     return;
   }
   AppendTraceEvent(event, message_id, logged, label);
@@ -257,7 +255,7 @@ void Runtime::AppendNdLog(NdLogRecord record, bool log_async) {
 
 ftx::Duration Runtime::DoCommit(bool coordinated, int64_t atomic_group) {
   if (mode_ == RuntimeMode::kBaseline) {
-    segment_->Commit();
+    segment_->Commit();  // retire the undo log; nothing is persisted
     return ftx::Duration();
   }
   FTX_PROF_SCOPE("commit");
@@ -437,7 +435,7 @@ void Runtime::DropStagedCommits() {
 }
 
 void Runtime::AppendCoordinationEvent(ftx_sm::EventKind kind, int64_t message_id) {
-  if (env_.trace != nullptr && mode_ == RuntimeMode::kRecoverable) {
+  if (env_.trace != nullptr) {
     // Coordination receives are recovery-system events, not application
     // non-determinism: the recovery system regenerates its own protocol
     // messages deterministically, so they are recorded as logged.
@@ -469,7 +467,7 @@ ftx::Duration Runtime::Recover() {
   // The breakdown mirrors the charges below, bucket by bucket; every
   // nanosecond added to `cost` lands in exactly one bucket so the phases
   // tile the returned latency.
-  last_recovery_ = RecoveryBreakdown{};
+  last_recovery_ = ftx_causal::RecoveryPhases{};
   last_recovery_.log_scan_ns = costs_.recovery_fixed.nanos();
 
   if (env_.redo_log != nullptr) {
@@ -500,7 +498,6 @@ ftx::Duration Runtime::Recover() {
           last_recovery_.log_scan_ns += disk_params->half_rotation.nanos();
           last_recovery_.page_install_ns += disk_params->per_byte.nanos() * record.PayloadBytes();
         }
-        ++last_recovery_.records;
       }
     }
     {
@@ -570,7 +567,6 @@ ftx::Duration Runtime::Recover() {
   cost += step_cost_;
   last_recovery_.rebuild_ns = step_cost_.nanos();
   step_cost_ = saved_step_cost;
-  last_recovery_.total_ns = cost.nanos();
 
   stats_.recovery_time += cost;
   if (recovery_hist_ != nullptr) {
@@ -578,9 +574,6 @@ ftx::Duration Runtime::Recover() {
   }
   if (env_.tracer != nullptr) {
     env_.tracer->Span(pid_, ftx_obs::TraceLane::kRecovery, "dc", "recover", Now(), Now() + cost);
-  }
-  if (env_.audit != nullptr) {
-    env_.audit->OnRecovery(pid_, "recover", cost.nanos());
   }
   FTX_LOG(kInfo, "p%d recovered to step %lld (cost %s)", pid_,
           static_cast<long long>(step_count_), cost.ToString().c_str());
@@ -615,9 +608,8 @@ ftx::Duration Runtime::RestartFromScratch() {
   }
   Initialize();
   ftx::Duration cost = costs_.recovery_fixed;
-  last_recovery_ = RecoveryBreakdown{};
+  last_recovery_ = ftx_causal::RecoveryPhases{};
   last_recovery_.log_scan_ns = cost.nanos();
-  last_recovery_.total_ns = cost.nanos();
   stats_.recovery_time += cost;
   if (recovery_hist_ != nullptr) {
     recovery_hist_->Observe(cost.nanos());
@@ -625,29 +617,54 @@ ftx::Duration Runtime::RestartFromScratch() {
   if (env_.tracer != nullptr) {
     env_.tracer->Span(pid_, ftx_obs::TraceLane::kRecovery, "dc", "restart", Now(), Now() + cost);
   }
-  if (env_.audit != nullptr) {
-    env_.audit->OnRecovery(pid_, "restart", cost.nanos());
-  }
   FTX_LOG(kInfo, "p%d restarted from scratch (all committed work lost)", pid_);
   return cost;
 }
 
 // --- ProcessEnv ---
 
-ftx::TimePoint Runtime::GetTimeOfDay() {
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    return env_.kernel->GetTimeOfDay(pid_);
+const Runtime::NdLogRecord* Runtime::ReplayNd(NdLogRecord::Kind kind) {
+  if (!InNdReplay() || nd_log_[nd_consumed_].kind != kind) {
+    return nullptr;
   }
+  FTX_PROF_SCOPE("recover.nd_replay");
+  const NdLogRecord& record = nd_log_[nd_consumed_++];
+  ++stats_.events;
+  ++stats_.nd_events;
+  ftx_proto::AppEvent event = ftx_proto::AppEvent::kTransientNd;
+  int64_t message_id = -1;
+  const char* label = "";
+  switch (kind) {
+    case NdLogRecord::Kind::kTimeOfDay:
+      label = "time-replay";
+      break;
+    case NdLogRecord::Kind::kEmptyPoll:
+      label = "select-replay";
+      break;
+    case NdLogRecord::Kind::kSignal:
+      event = ftx_proto::AppEvent::kSignal;
+      label = "signal-replay";
+      break;
+    case NdLogRecord::Kind::kUserInput:
+      event = ftx_proto::AppEvent::kUserInput;
+      label = "input-replay";
+      ++input_cursor_;
+      break;
+    case NdLogRecord::Kind::kReceive:
+      event = ftx_proto::AppEvent::kReceive;
+      label = "recv-replay";
+      message_id = record.message.id;
+      ++stats_.receives;
+      break;
+  }
+  AppendTraceEvent(event, message_id, /*logged=*/true, label);
+  return &record;
+}
+
+ftx::TimePoint Runtime::GetTimeOfDay() {
   // Replay: a logged clock read is deterministic (full-logging protocols).
-  if (InNdReplay() && nd_log_[nd_consumed_].kind == NdLogRecord::Kind::kTimeOfDay) {
-    FTX_PROF_SCOPE("recover.nd_replay");
-    ftx::TimePoint value = nd_log_[nd_consumed_].time_value;
-    ++nd_consumed_;
-    AppendTraceEvent(ftx_proto::AppEvent::kTransientNd, -1, /*logged=*/true, "time-replay");
-    ++stats_.events;
-    ++stats_.nd_events;
-    return value;
+  if (const NdLogRecord* replayed = ReplayNd(NdLogRecord::Kind::kTimeOfDay)) {
+    return replayed->time_value;
   }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kTransientNd);
   Charge(costs_.syscall_service);
@@ -663,16 +680,8 @@ ftx::TimePoint Runtime::GetTimeOfDay() {
 }
 
 void Runtime::DeliverSignal() {
-  if (mode_ == RuntimeMode::kBaseline) {
-    return;
-  }
   // Replay: a logged delivery point replays trivially (no result to carry).
-  if (InNdReplay() && nd_log_[nd_consumed_].kind == NdLogRecord::Kind::kSignal) {
-    FTX_PROF_SCOPE("recover.nd_replay");
-    ++nd_consumed_;
-    AppendTraceEvent(ftx_proto::AppEvent::kSignal, -1, /*logged=*/true, "signal-replay");
-    ++stats_.events;
-    ++stats_.nd_events;
+  if (ReplayNd(NdLogRecord::Kind::kSignal) != nullptr) {
     return;
   }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kSignal);
@@ -685,26 +694,10 @@ void Runtime::DeliverSignal() {
 }
 
 std::optional<ftx::Bytes> Runtime::ReadUserInput() {
-  if (mode_ == RuntimeMode::kBaseline) {
-    if (input_cursor_ >= input_script_.size()) {
-      return std::nullopt;
-    }
-    Charge(costs_.syscall_service);
-    return input_script_[input_cursor_++];
-  }
   // Recovery replay: a logged input is returned from the ND log and is
   // deterministic.
-  if (InNdReplay()) {
-    const NdLogRecord& record = nd_log_[nd_consumed_];
-    if (record.kind == NdLogRecord::Kind::kUserInput) {
-      FTX_PROF_SCOPE("recover.nd_replay");
-      ++nd_consumed_;
-      ++input_cursor_;
-      AppendTraceEvent(ftx_proto::AppEvent::kUserInput, -1, /*logged=*/true, "input-replay");
-      ++stats_.events;
-      ++stats_.nd_events;
-      return record.payload;
-    }
+  if (const NdLogRecord* replayed = ReplayNd(NdLogRecord::Kind::kUserInput)) {
+    return replayed->payload;
   }
   if (input_cursor_ >= input_script_.size()) {
     return std::nullopt;
@@ -725,11 +718,6 @@ std::optional<ftx::Bytes> Runtime::ReadUserInput() {
 
 void Runtime::Print(ftx::Bytes payload) {
   ++stats_.visible_events;
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    env_.recorder->Record(pid_, Now(), std::move(payload));
-    return;
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kVisible);
   Charge(costs_.syscall_service);
   env_.recorder->Record(pid_, Now(), std::move(payload));
@@ -738,11 +726,6 @@ void Runtime::Print(ftx::Bytes payload) {
 
 void Runtime::Send(int dst, ftx::Bytes payload) {
   ++stats_.sends;
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    env_.transport->Send(pid_, dst, std::move(payload));
-    return;
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kSend);
   Charge(costs_.syscall_service);
   communicated_.Note(dst);
@@ -751,36 +734,12 @@ void Runtime::Send(int dst, ftx::Bytes payload) {
 }
 
 std::optional<ftx::env::Message> Runtime::TryReceive() {
-  if (mode_ == RuntimeMode::kBaseline) {
-    std::optional<ftx::env::Message> msg = env_.transport->Deliver(pid_);
-    if (msg.has_value()) {
-      ++stats_.receives;
-      Charge(costs_.syscall_service);
-      env_.transport->ReleaseAllDelivered(pid_);
-    }
-    return msg;
-  }
   // Recovery replay of logged receives and empty polls: bypass the network.
-  if (InNdReplay()) {
-    const NdLogRecord& record = nd_log_[nd_consumed_];
-    if (record.kind == NdLogRecord::Kind::kReceive) {
-      FTX_PROF_SCOPE("recover.nd_replay");
-      ++nd_consumed_;
-      ++stats_.events;
-      ++stats_.nd_events;
-      ++stats_.receives;
-      AppendTraceEvent(ftx_proto::AppEvent::kReceive, record.message.id, /*logged=*/true,
-                       "recv-replay");
-      return record.message;
-    }
-    if (record.kind == NdLogRecord::Kind::kEmptyPoll) {
-      FTX_PROF_SCOPE("recover.nd_replay");
-      ++nd_consumed_;
-      ++stats_.events;
-      ++stats_.nd_events;
-      AppendTraceEvent(ftx_proto::AppEvent::kTransientNd, -1, /*logged=*/true, "select-replay");
-      return std::nullopt;
-    }
+  if (const NdLogRecord* replayed = ReplayNd(NdLogRecord::Kind::kReceive)) {
+    return replayed->message;
+  }
+  if (ReplayNd(NdLogRecord::Kind::kEmptyPoll) != nullptr) {
+    return std::nullopt;
   }
   std::optional<ftx::env::Message> msg = env_.transport->Deliver(pid_);
   if (!msg.has_value()) {
@@ -815,7 +774,7 @@ std::optional<ftx::env::Message> Runtime::TryReceive() {
 const ftx::env::Message* Runtime::PeekMessage() {
   // During ND-log replay, the logged receive is what the next consuming
   // TryReceive returns; present it for inspection.
-  if (mode_ != RuntimeMode::kBaseline && InNdReplay()) {
+  if (InNdReplay()) {
     const NdLogRecord& record = nd_log_[nd_consumed_];
     if (record.kind == NdLogRecord::Kind::kReceive) {
       return &record.message;
@@ -829,6 +788,7 @@ const ftx::env::Message* Runtime::PeekMessage() {
 
 void Runtime::Compute(ftx::Duration work) {
   Charge(work);
+  ++stats_.events;
   if (mode_ == RuntimeMode::kBaseline) {
     return;
   }
@@ -836,7 +796,6 @@ void Runtime::Compute(ftx::Duration work) {
   // Deterministic computation: consulted for completeness (commit-all counts
   // it) but not traced — internal events cannot affect either invariant.
   ftx_proto::CommitDecision d = protocol_->Decide(ftx_proto::AppEvent::kInternal);
-  ++stats_.events;
   if (d.commit_after) {
     pending_commit_ = true;
   } else if (d.commit_before) {
@@ -845,10 +804,6 @@ void Runtime::Compute(ftx::Duration work) {
 }
 
 ftx::Result<int> Runtime::Open(const std::string& path, bool writable) {
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    return env_.kernel->Open(pid_, path, writable);
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kFixedNd);
   Charge(costs_.syscall_service);
   ftx::Result<int> result = env_.kernel->Open(pid_, path, writable);
@@ -857,10 +812,6 @@ ftx::Result<int> Runtime::Open(const std::string& path, bool writable) {
 }
 
 ftx::Status Runtime::Close(int fd) {
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    return env_.kernel->Close(pid_, fd);
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kInternal);
   Charge(costs_.syscall_service);
   ftx::Status status = env_.kernel->Close(pid_, fd);
@@ -869,10 +820,6 @@ ftx::Status Runtime::Close(int fd) {
 }
 
 ftx::Result<int64_t> Runtime::WriteFile(int fd, int64_t bytes) {
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    return env_.kernel->Write(pid_, fd, bytes);
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kFixedNd);
   Charge(costs_.syscall_service);
   ftx::Result<int64_t> result = env_.kernel->Write(pid_, fd, bytes);
@@ -881,10 +828,6 @@ ftx::Result<int64_t> Runtime::WriteFile(int fd, int64_t bytes) {
 }
 
 ftx::Status Runtime::Bind(uint16_t port) {
-  if (mode_ == RuntimeMode::kBaseline) {
-    Charge(costs_.syscall_service);
-    return env_.kernel->Bind(pid_, port);
-  }
   ftx_proto::CommitDecision d = PreEvent(ftx_proto::AppEvent::kInternal);
   Charge(costs_.syscall_service);
   ftx::Status status = env_.kernel->Bind(pid_, port);
@@ -900,15 +843,12 @@ void Runtime::Crash(const std::string& reason) {
   if (env_.tracer != nullptr) {
     env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "crash: " + reason, Now());
   }
-  if (mode_ == RuntimeMode::kRecoverable && env_.trace != nullptr) {
+  if (env_.trace != nullptr) {
     env_.trace->Append(pid_, ftx_sm::EventKind::kCrash, -1, false, reason);
   }
   alive_ = false;
   crashed_ = true;
   crash_reason_ = reason;
-  if (crash_handler_) {
-    crash_handler_(reason);
-  }
 }
 
 void Runtime::MarkFaultActivation() {
@@ -918,7 +858,7 @@ void Runtime::MarkFaultActivation() {
   if (env_.tracer != nullptr) {
     env_.tracer->Instant(pid_, ftx_obs::TraceLane::kRecovery, "fault", "fault-activation", Now());
   }
-  if (env_.trace == nullptr || mode_ == RuntimeMode::kBaseline) {
+  if (env_.trace == nullptr) {
     return;
   }
   // The activation of a bug is itself an (internal) event the process

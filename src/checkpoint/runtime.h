@@ -24,7 +24,6 @@
 #define FTX_SRC_CHECKPOINT_RUNTIME_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,6 +31,7 @@
 
 #include "src/checkpoint/app.h"
 #include "src/env/env.h"
+#include "src/obs/causal/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
 #include "src/protocol/coordination.h"
@@ -68,24 +68,14 @@ struct RuntimeCosts {
   ftx::Duration recovery_per_page = ftx::Microseconds(3);
 };
 
+// Both modes run every application event down the same path; the baseline
+// one differs only where Discount Checking does work: PreEvent consults no
+// protocol and charges nothing, PostEvent records no trace and retains
+// nothing for recovery, DoCommit only retires the undo log, and Compute
+// skips the protocol.
 enum class RuntimeMode {
-  kBaseline,     // no interception, no commits: the unrecoverable version
+  kBaseline,     // no interception cost, no commits: the unrecoverable version
   kRecoverable,  // full Discount Checking
-};
-
-// Per-phase decomposition of the most recent Recover()/RestartFromScratch()
-// on this runtime, in simulated nanoseconds, as actually charged — the sum
-// of the phases equals the returned recovery cost exactly (no estimates).
-// The critical-path tracker (src/obs/causal/critical_path.h) consumes this
-// to attribute the binding recovery's time to a phase; the struct lives
-// here, not in obs/, so the checkpoint layer stays observer-free.
-struct RecoveryBreakdown {
-  int64_t log_scan_ns = 0;       // fixed rollback cost + per-record rotation waits
-  int64_t page_install_ns = 0;   // redo payload transfer back into the segment
-  int64_t undo_rollback_ns = 0;  // Rio per-page undo of uncommitted state
-  int64_t rebuild_ns = 0;        // application OnRecovered recomputation
-  int64_t records = 0;           // redo records replayed (DC-disk) or 0
-  int64_t total_ns = 0;          // == the Duration Recover() returned
 };
 
 struct RuntimeStats {
@@ -160,17 +150,15 @@ class Runtime : public ProcessEnv {
   bool crashed() const { return crashed_; }
   const std::string& crash_reason() const { return crash_reason_; }
   const RuntimeStats& stats() const { return stats_; }
-  // Phase decomposition of the most recent recovery (zeroed until one runs).
-  const RecoveryBreakdown& last_recovery() const { return last_recovery_; }
+  // Phase decomposition of the most recent Recover()/RestartFromScratch(),
+  // in simulated nanoseconds as actually charged: the phases sum to the
+  // returned recovery cost exactly (zeroed until one runs).
+  const ftx_causal::RecoveryPhases& last_recovery() const { return last_recovery_; }
   ftx_proto::Protocol& protocol() { return *protocol_; }
   App& app() { return *app_; }
 
   // Scripted user input (the workload's keystrokes/commands).
   void SetInputScript(std::vector<ftx::Bytes> script);
-
-  // Installs a hook invoked on crash events (the Computation runner uses it
-  // to schedule recovery or end the experiment).
-  void SetCrashHandler(std::function<void(const std::string&)> handler);
 
   // --- ProcessEnv ---
   int pid() const override { return pid_; }
@@ -251,13 +239,23 @@ class Runtime : public ProcessEnv {
     size_t nd_consumed = 0;
   };
 
-  // Protocol consultation before an event executes: performs any
+  // Every intercepted event runs PreEvent, then its action, then PostEvent.
+  // PreEvent is the protocol consultation before the action: performs any
   // commit-before (coordinated or local) and charges interception cost.
+  // A baseline process gets the empty decision at no cost.
   ftx_proto::CommitDecision PreEvent(ftx_proto::AppEvent event);
 
-  // Trace recording + commit-after, once the event's action is done.
+  // Counts the event, then records it in the trace and arms a commit-after,
+  // once the event's action is done. A baseline process instead releases
+  // what it has received: it keeps no recovery buffer.
   void PostEvent(ftx_proto::AppEvent event, const ftx_proto::CommitDecision& decision,
                  int64_t message_id, bool logged, const char* label);
+
+  // Recovery replay of one logged ND event: when the next unconsumed ND-log
+  // record is of `kind`, consumes it, counts and traces the event as a
+  // logged one, and returns the record whose result the call hands back.
+  // Returns nullptr (the event runs live) otherwise.
+  const NdLogRecord* ReplayNd(NdLogRecord::Kind kind);
 
   // Appends an ND-log record, charging either a synchronous stable-store
   // append or (log_async) deferring the write into the pending batch.
@@ -330,7 +328,6 @@ class Runtime : public ProcessEnv {
   bool crashed_ = false;
   bool in_step_ = false;
   std::string crash_reason_;
-  std::function<void(const std::string&)> crash_handler_;
 
   std::vector<ftx::Bytes> input_script_;
   size_t input_cursor_ = 0;
@@ -355,7 +352,7 @@ class Runtime : public ProcessEnv {
   ftx::Duration pending_overhead_;  // costs charged outside a step (2PC)
 
   RuntimeStats stats_;
-  RecoveryBreakdown last_recovery_;
+  ftx_causal::RecoveryPhases last_recovery_;
 
   // Owned instruments (null when no registry is attached). The histograms
   // are computation-wide ("dc.commit_ns" / "dc.recovery_ns"), shared across

@@ -97,15 +97,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::NextGaussian() {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-}
-
 Rng Rng::Fork(uint64_t tag) {
   // Mix the parent's stream with the tag through SplitMix64 so children with
   // different tags are decorrelated.

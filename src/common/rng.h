@@ -51,9 +51,6 @@ class Rng {
   // Exponentially distributed double with the given mean (> 0).
   double NextExponential(double mean);
 
-  // Standard-normal via Box-Muller.
-  double NextGaussian();
-
   // Derives an independent child generator; children with distinct tags are
   // decorrelated from each other and from the parent.
   Rng Fork(uint64_t tag);

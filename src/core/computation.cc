@@ -63,7 +63,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
     });
   }
 
-  if (options_.timeseries || !options_.timeseries_path.empty()) {
+  if (!options_.timeseries_path.empty()) {
     tsdb_ = std::make_unique<ftx_obs::TimeSeriesDb>(options_.timeseries_options);
     tsdb_->SetMeta("protocol", options_.protocol);
     switch (options_.store) {
@@ -282,15 +282,7 @@ void Computation::Pump(int pid) {
         return;
       }
       ++recovery_attempts_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfter(options_.recovery_delay, [this, pid]() {
-        auto& failed = *runtimes_[static_cast<size_t>(pid)];
-        if (failed.alive()) {
-          return;  // already recovered by someone else
-        }
-        Duration recovery_cost = failed.Recover();
-        NoteRecovery(pid, recovery_cost);
-        SchedulePump(pid, recovery_cost);
-      });
+      ScheduleRecovery(pid, options_.recovery_delay, /*from_scratch=*/false);
     }
     return;
   }
@@ -382,29 +374,32 @@ void Computation::CoordinatedCommit(int initiator, ftx_proto::CoordinationScope 
   }
 }
 
-void Computation::NoteRecovery(int pid, Duration cost) {
-  if (critical_path_ == nullptr) {
-    return;
-  }
-  const ftx_dc::RecoveryBreakdown& br = runtimes_[static_cast<size_t>(pid)]->last_recovery();
-  ftx_causal::RecoveryPhases phases;
-  phases.log_scan_ns = br.log_scan_ns;
-  phases.page_install_ns = br.page_install_ns;
-  phases.undo_rollback_ns = br.undo_rollback_ns;
-  phases.rebuild_ns = br.rebuild_ns;
-  // Recover()/RestartFromScratch() ran at the current instant and charged
-  // `cost` forward; the gap back to the crash is detection latency, which
-  // the tracker derives itself.
-  critical_path_->OnRecovery(pid, sim_->Now().nanos(), (sim_->Now() + cost).nanos(), phases);
+void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay) {
+  ScheduleStop(pid, at, recovery_delay, /*from_scratch=*/false);
 }
 
-void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_delay) {
-  sim_->ScheduleAt(at, [this, pid, recovery_delay]() {
+void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
+  for (int pid = 0; pid < num_processes(); ++pid) {
+    // Without Rio (or a disk log), the OS crash destroys the segment, the
+    // undo log, and every checkpoint: the application can only restart from
+    // scratch — all committed work is forfeit.
+    ScheduleStop(pid, at, reboot_delay,
+                 /*from_scratch=*/!stores_[static_cast<size_t>(pid)]->SurvivesOsCrash());
+  }
+}
+
+void Computation::ScheduleStop(int pid, TimePoint at, Duration recovery_delay,
+                               bool from_scratch) {
+  sim_->ScheduleAt(at, [this, pid, recovery_delay, from_scratch]() {
     auto& rt = *runtimes_[static_cast<size_t>(pid)];
     if (!rt.alive() || rt.done()) {
       return;
     }
-    FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
+    if (from_scratch) {
+      FTX_LOG(kInfo, "OS crash with volatile store: p%d restarts from scratch", pid);
+    } else {
+      FTX_LOG(kInfo, "stop failure: p%d at %s", pid, sim_->Now().ToString().c_str());
+    }
     ++crashes_landed_;
     rt.Kill();
     if (critical_path_ != nullptr) {
@@ -413,50 +408,29 @@ void Computation::ScheduleStopFailure(int pid, TimePoint at, Duration recovery_d
       critical_path_->OnCrash(pid);
     }
     ++pump_token_[static_cast<size_t>(pid)];  // cancel any scheduled pump
-    sim_->ScheduleAfter(recovery_delay, [this, pid]() {
-      auto& failed = *runtimes_[static_cast<size_t>(pid)];
-      if (failed.alive()) {
-        return;
-      }
-      Duration cost = failed.Recover();
-      NoteRecovery(pid, cost);
-      SchedulePump(pid, cost);
-    });
+    ScheduleRecovery(pid, recovery_delay, from_scratch);
   });
 }
 
-void Computation::ScheduleOsStopFailure(TimePoint at, Duration reboot_delay) {
-  for (int pid = 0; pid < num_processes(); ++pid) {
-    if (stores_[static_cast<size_t>(pid)]->SurvivesOsCrash()) {
-      ScheduleStopFailure(pid, at, reboot_delay);
-      continue;
+void Computation::ScheduleRecovery(int pid, Duration delay, bool from_scratch) {
+  sim_->ScheduleAfter(delay, [this, pid, from_scratch]() {
+    auto& rt = *runtimes_[static_cast<size_t>(pid)];
+    if (rt.alive()) {
+      return;  // already recovered by someone else
     }
-    // Without Rio (or a disk log), the OS crash destroys the segment, the
-    // undo log, and every checkpoint: the application can only restart from
-    // scratch — all committed work is forfeit.
-    sim_->ScheduleAt(at, [this, pid, reboot_delay]() {
-      auto& rt = *runtimes_[static_cast<size_t>(pid)];
-      if (!rt.alive() || rt.done()) {
-        return;
-      }
-      FTX_LOG(kInfo, "OS crash with volatile store: p%d restarts from scratch", pid);
-      ++crashes_landed_;
-      rt.Kill();
-      if (critical_path_ != nullptr) {
-        critical_path_->OnCrash(pid);
-      }
-      ++pump_token_[static_cast<size_t>(pid)];
-      sim_->ScheduleAfter(reboot_delay, [this, pid]() {
-        auto& failed = *runtimes_[static_cast<size_t>(pid)];
-        if (failed.alive()) {
-          return;
-        }
-        Duration cost = failed.RestartFromScratch();
-        NoteRecovery(pid, cost);
-        SchedulePump(pid, cost);
-      });
-    });
-  }
+    const Duration cost = from_scratch ? rt.RestartFromScratch() : rt.Recover();
+    if (audit_ != nullptr) {
+      audit_->OnRecovery(pid, from_scratch ? "restart" : "recover", cost.nanos());
+    }
+    if (critical_path_ != nullptr) {
+      // The recovery ran at the current instant and charged `cost` forward;
+      // the gap back to the crash is detection latency, which the tracker
+      // derives itself.
+      critical_path_->OnRecovery(pid, sim_->Now().nanos(), (sim_->Now() + cost).nanos(),
+                                 rt.last_recovery());
+    }
+    SchedulePump(pid, cost);
+  });
 }
 
 ComputationResult Computation::Run() {

@@ -98,9 +98,8 @@ struct ComputationOptions {
   // counter/gauge series on a fixed sim-time cadence, driven by the
   // simulator's pre-event hook. Strictly observational (the hook only reads
   // state), so simulated quantities are byte-identical with it on or off.
-  // Enabled by `timeseries` or by a non-empty timeseries_path (the JSONL
-  // export Run() writes there).
-  bool timeseries = false;
+  // On when timeseries_path is non-empty: Run() writes the JSONL export
+  // there.
   ftx_obs::TimeSeriesOptions timeseries_options;
   std::string timeseries_path;
   // Causal critical-path tracking (src/obs/causal/critical_path.h): online
@@ -169,7 +168,7 @@ class Computation {
   ftx_obs::Tracer& tracer() { return tracer_; }
   // Null unless ComputationOptions::audit was set (and mode is recoverable).
   ftx_causal::CausalAudit* audit() { return audit_.get(); }
-  // Null unless timeseries telemetry is enabled. Callers may register
+  // Null unless timeseries_path is set. Callers may register
   // additional probe columns (the fleet bench adds fleet.* lanes) any time
   // before Run() executes the first event.
   ftx_obs::TimeSeriesDb* timeseries() { return tsdb_.get(); }
@@ -195,10 +194,15 @@ class Computation {
  private:
   void Pump(int pid);
   void SchedulePump(int pid, Duration delay);
-  // Forwards a completed recovery (its simulated interval plus the
-  // runtime's per-phase charge) to the critical-path tracker. No-op when
-  // the tracker is off.
-  void NoteRecovery(int pid, Duration cost);
+  // The one stop path: at `at`, kills `pid` if it is live and unfinished,
+  // tells the critical-path tracker, cancels its pump, and schedules its
+  // recovery `recovery_delay` later.
+  void ScheduleStop(int pid, TimePoint at, Duration recovery_delay, bool from_scratch);
+  // The one recovery path, for stop failures and propagation crashes
+  // alike: after `delay`, rolls a still-down `pid` back to its last commit
+  // (or, `from_scratch`, restarts it from its initial state), reports the
+  // recovery to the audit and the critical-path tracker, and resumes it.
+  void ScheduleRecovery(int pid, Duration delay, bool from_scratch);
   void WakeIfBlocked(int pid);
   void CoordinatedCommit(int initiator, ftx_proto::CoordinationScope scope);
   bool AllDone() const;

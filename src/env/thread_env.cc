@@ -66,7 +66,6 @@ int64_t ChannelTransport::Send(int src, int dst, ftx::Bytes payload) {
     inbox_[static_cast<size_t>(dst)].push_back(std::move(msg));
     callback = arrival_callback_[static_cast<size_t>(dst)];
   }
-  arrival_cv_.notify_all();
   if (callback) callback();
   return id;
 }
@@ -124,13 +123,6 @@ void ChannelTransport::RequeueRetained(int dst) {
 void ChannelTransport::SetArrivalCallback(int dst, std::function<void()> callback) {
   std::lock_guard<std::mutex> lock(mu_);
   arrival_callback_[static_cast<size_t>(dst)] = std::move(callback);
-}
-
-bool ChannelTransport::WaitForPending(int dst, ftx::Duration timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  return arrival_cv_.wait_for(lock, std::chrono::nanoseconds(timeout.nanos()), [&] {
-    return !inbox_[static_cast<size_t>(dst)].empty();
-  });
 }
 
 int64_t ChannelTransport::total_messages() const {

@@ -24,7 +24,6 @@
 #define FTX_SRC_ENV_THREAD_ENV_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -72,16 +71,10 @@ class ChannelTransport final : public Transport {
   void RequeueRetained(int dst) override;
   void SetArrivalCallback(int dst, std::function<void()> callback) override;
 
-  // Blocks until dst has a pending message or `timeout` elapses. Returns
-  // whether a message is pending. (Real receivers block; the simulator's
-  // reschedule-on-arrival has no meaning here.)
-  bool WaitForPending(int dst, ftx::Duration timeout);
-
   int64_t total_messages() const;
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable arrival_cv_;
   Clock* clock_;
   int64_t next_message_id_ = 0;
   std::vector<std::deque<Message>> inbox_;

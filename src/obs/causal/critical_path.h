@@ -35,7 +35,7 @@
 //                  outgoing send/commit
 //   message        tainted send -> receive network latency
 //
-// The per-recovery phase splits come from Runtime::RecoveryBreakdown — the
+// The per-recovery phase splits come from Runtime::last_recovery() — the
 // actual simulated nanoseconds the runtime charged, not estimates. The
 // largest single span names the binding process and phase: the fleet-level
 // MTTR bottleneck no aggregate layer can see.
@@ -64,15 +64,13 @@ namespace ftx_causal {
 inline constexpr int kCriticalPathSchemaVersion = 1;
 
 // Simulated nanoseconds a completed recovery spent per phase, as charged by
-// the runtime (Runtime fills one of these per Recover call).
+// the runtime (Runtime::last_recovery() after each Recover or
+// RestartFromScratch); the phases sum to the recovery's cost exactly.
 struct RecoveryPhases {
-  int64_t log_scan_ns = 0;       // fixed cost + rotation waits reading the log
-  int64_t page_install_ns = 0;   // record/page payload transfer
+  int64_t log_scan_ns = 0;       // fixed rollback cost + per-record rotation waits
+  int64_t page_install_ns = 0;   // redo payload transfer back into the segment
   int64_t undo_rollback_ns = 0;  // Rio per-page undo of uncommitted state
-  int64_t rebuild_ns = 0;        // application OnRecovered step
-  int64_t total_ns() const {
-    return log_scan_ns + page_install_ns + undo_rollback_ns + rebuild_ns;
-  }
+  int64_t rebuild_ns = 0;        // application OnRecovered recomputation
 };
 
 struct CriticalPathOptions {

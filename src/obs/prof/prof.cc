@@ -24,11 +24,6 @@ std::string LeafOf(std::string_view stack) {
   return std::string(pos == std::string_view::npos ? stack : stack.substr(pos + 1));
 }
 
-std::string ParentOf(std::string_view stack) {
-  size_t pos = stack.rfind(';');
-  return std::string(pos == std::string_view::npos ? std::string_view{} : stack.substr(0, pos));
-}
-
 }  // namespace
 
 // --- shard: one thread's private call tree ---
@@ -259,103 +254,6 @@ std::string Profile::ToCollapsed(bool weight_ns) const {
     out += '\n';
   }
   return out;
-}
-
-ftx_obs::Json Profile::ToJson() const {
-  ftx_obs::Json doc = ftx_obs::Json::Object();
-  doc.Set("schema", kProfSchemaName);
-  doc.Set("schema_version", kProfSchemaVersion);
-  ftx_obs::Json rows = ftx_obs::Json::Array();
-  for (const ProfileEntry& entry : entries) {
-    ftx_obs::Json row = ftx_obs::Json::Object();
-    row.Set("stack", entry.stack);
-    row.Set("count", entry.count);
-    row.Set("total_ns", entry.total_ns);
-    row.Set("self_ns", entry.self_ns);
-    rows.Push(std::move(row));
-  }
-  doc.Set("entries", std::move(rows));
-  return doc;
-}
-
-void Profile::PublishTo(ftx_obs::Registry* registry, const std::string& prefix) const {
-  for (const ProfileEntry& entry : entries) {
-    registry->GetCounter(prefix + entry.stack + ".ns")->Add(entry.total_ns);
-    registry->GetCounter(prefix + entry.stack + ".count")->Add(entry.count);
-  }
-}
-
-ftx_obs::Json Profile::ToChromeTrace() const {
-  // Entries are sorted by stack, so every parent precedes its children
-  // ("a" < "a;b"). Lay each scope out left-to-right inside its parent's
-  // interval: a flamegraph on the trace viewer's time axis.
-  std::map<std::string, double> cursor;  // stack (or "") -> next free ts, us
-  ftx_obs::Json events = ftx_obs::Json::Array();
-  for (const ProfileEntry& entry : entries) {
-    std::string parent = ParentOf(entry.stack);
-    double ts = cursor.count(parent) ? cursor[parent] : 0.0;
-    double dur = static_cast<double>(entry.total_ns) / 1000.0;  // us
-    cursor[parent] = ts + dur;
-    cursor[entry.stack] = ts;  // children start at our left edge
-    ftx_obs::Json event = ftx_obs::Json::Object();
-    event.Set("ph", "X");
-    event.Set("cat", "prof");
-    event.Set("name", LeafOf(entry.stack));
-    event.Set("pid", 0);
-    event.Set("tid", 0);
-    event.Set("ts", ts);
-    event.Set("dur", dur);
-    ftx_obs::Json args = ftx_obs::Json::Object();
-    args.Set("count", entry.count);
-    args.Set("self_ns", entry.self_ns);
-    event.Set("args", std::move(args));
-    events.Push(std::move(event));
-  }
-  ftx_obs::Json doc = ftx_obs::Json::Object();
-  doc.Set("traceEvents", std::move(events));
-  doc.Set("displayTimeUnit", "ms");
-  return doc;
-}
-
-bool ParseCollapsed(std::string_view text, Profile* out, std::string* error) {
-  std::map<std::string, int64_t> merged;
-  size_t line_no = 0;
-  while (!text.empty()) {
-    ++line_no;
-    size_t eol = text.find('\n');
-    std::string_view line = eol == std::string_view::npos ? text : text.substr(0, eol);
-    text = eol == std::string_view::npos ? std::string_view{} : text.substr(eol + 1);
-    if (line.empty()) {
-      continue;
-    }
-    size_t space = line.rfind(' ');
-    if (space == std::string_view::npos || space == 0 || space + 1 >= line.size()) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": expected 'stack weight'";
-      }
-      return false;
-    }
-    std::string_view weight_text = line.substr(space + 1);
-    int64_t weight = 0;
-    for (char c : weight_text) {
-      if (c < '0' || c > '9') {
-        if (error != nullptr) {
-          *error = "line " + std::to_string(line_no) + ": non-numeric weight";
-        }
-        return false;
-      }
-      weight = weight * 10 + (c - '0');
-    }
-    merged[std::string(line.substr(0, space))] += weight;
-  }
-  out->entries.clear();
-  for (auto& [stack, weight] : merged) {
-    ProfileEntry entry;
-    entry.stack = stack;
-    entry.total_ns = weight;
-    out->entries.push_back(std::move(entry));
-  }
-  return true;
 }
 
 // --- host metadata ---

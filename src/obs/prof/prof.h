@@ -27,10 +27,8 @@
 //    workers (src/core/parallel.cc), so a bench row that shards trials
 //    still captures every scope in one profile.
 //
-// Export surfaces: collapsed-stack text (FlameGraph / speedscope
-// compatible), an ftx.prof JSON document, counters published into an
-// ftx_obs::Registry, and a synthetic left-heavy Chrome trace (complete
-// events) for chrome://tracing / Perfetto.
+// Export surface: collapsed-stack text (FlameGraph / speedscope
+// compatible); bench rows and perfbench read the merged entries directly.
 
 #ifndef FTX_SRC_OBS_PROF_PROF_H_
 #define FTX_SRC_OBS_PROF_PROF_H_
@@ -43,12 +41,8 @@
 #include <vector>
 
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 
 namespace ftx_prof {
-
-inline constexpr const char* kProfSchemaName = "ftx.prof";
-inline constexpr int kProfSchemaVersion = 1;
 
 // One aggregated call-tree node after a merge, addressed by its collapsed
 // stack path ("commit;commit.serialize").
@@ -76,24 +70,7 @@ struct Profile {
   // sorted order. `weight_ns` selects total nanoseconds (the flamegraph
   // you want) vs scope counts (byte-deterministic across runs).
   std::string ToCollapsed(bool weight_ns = true) const;
-
-  // ftx.prof JSON document (schema/version/entries).
-  ftx_obs::Json ToJson() const;
-
-  // Publishes "prefix<stack>.ns" / "prefix<stack>.count" counters.
-  void PublishTo(ftx_obs::Registry* registry, const std::string& prefix = "prof.") const;
-
-  // Synthetic left-heavy timeline of the call tree as Chrome trace_event
-  // complete ("X") events — each stack becomes a slice of its total_ns laid
-  // out inside its parent. Not a real timeline; a flamegraph rendered on
-  // the trace viewer's time axis.
-  ftx_obs::Json ToChromeTrace() const;
 };
-
-// Parses collapsed-stack text (the ToCollapsed format) back into a profile
-// with the weight in total_ns and count zeroed (collapsed text carries one
-// weight). Returns false (and sets *error) on malformed lines.
-bool ParseCollapsed(std::string_view text, Profile* out, std::string* error = nullptr);
 
 // A profiler instance: owns the per-thread shards scopes record into while
 // it is a thread's active profiler. Create one per measurement (a bench

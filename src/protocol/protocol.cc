@@ -238,14 +238,4 @@ const std::vector<std::string>& MeasuredProtocolNames() {
   return kNames;
 }
 
-const std::vector<std::string>& AllImplementedProtocolNames() {
-  static const std::vector<std::string> kNames = {
-      "commit-all", "cand",       "cand-log",       "cpvs",
-      "cbndvs",     "cbndvs-log", "cpv-2pc",        "cbndv-2pc",
-      "sbl",        "targon32",   "hypervisor",     "optimistic-log",
-      "coordinated-ckpt", "fbl",    "manetho",
-  };
-  return kNames;
-}
-
 }  // namespace ftx_proto

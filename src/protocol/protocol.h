@@ -151,9 +151,6 @@ std::unique_ptr<Protocol> MakeProtocolByName(std::string_view name);
 // Names of the seven protocols measured in the paper, in Fig. 8 order.
 const std::vector<std::string>& MeasuredProtocolNames();
 
-// Every instantiable protocol (measured + literature + commit-all).
-const std::vector<std::string>& AllImplementedProtocolNames();
-
 }  // namespace ftx_proto
 
 #endif  // FTX_SRC_PROTOCOL_PROTOCOL_H_

@@ -22,10 +22,6 @@ struct VisibleEvent {
   int process = -1;
   ftx::TimePoint time;
   ftx::Bytes payload;
-
-  bool SamePayload(const VisibleEvent& other) const {
-    return process == other.process && payload == other.payload;
-  }
 };
 
 class OutputRecorder {

@@ -153,6 +153,12 @@ DecodeStatus DecodeRecordSpan(const uint8_t* data, int64_t size, int64_t offset,
       ftx::Crc32(decoded.metadata.data(), decoded.metadata.size()) != metadata_crc) {
     return DecodeStatus::kCorrupt;
   }
+  // Intact CRCs vouch for the bytes, not for the framing inside them: a
+  // record recovery cannot walk page by page is corrupt here rather than an
+  // abort in Recover().
+  if (!decoded.ForEachPage([](int64_t, const uint8_t*, size_t) {})) {
+    return DecodeStatus::kCorrupt;
+  }
 
   *record = std::move(decoded);
   if (next_offset != nullptr) {

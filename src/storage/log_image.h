@@ -68,11 +68,12 @@ ftx::Bytes EncodeRecord(const RedoRecord& record);
 enum class DecodeStatus {
   kOk,         // record decoded and fully validated
   kTruncated,  // framing claims more bytes than remain — clean tail end
-  kCorrupt,    // framing fits but magic/CRC validation failed
+  kCorrupt,    // framing fits but magic/CRC validation or the page walk failed
 };
 
-// Decodes one record at `image[offset]`. On kOk fills `record` and
-// `next_offset` (the sector-aligned start of the following record).
+// Decodes one record at `image[offset]`. On kOk fills `record` — its CRCs
+// hold and ForEachPage walks its payload — and `next_offset` (the
+// sector-aligned start of the following record).
 // Length fields are checked against the remaining bytes BEFORE any CRC is
 // computed, so a mid-header truncation can never over-read.
 DecodeStatus DecodeRecord(const ftx::Bytes& image, int64_t offset, RedoRecord* record,

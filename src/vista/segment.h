@@ -142,11 +142,6 @@ class Segment {
   // Zero-fills every volatile range (recovery's post-rollback step).
   void ZeroVolatileRanges();
 
-  bool IsPageVolatile(int64_t page) const {
-    return page >= 0 && static_cast<size_t>(page) < num_pages_ &&
-           ((volatile_bits_[page >> 6] >> (page & 63)) & 1) != 0;
-  }
-
   // --- instrumentation for commit cost models & fault injection ---
 
   size_t dirty_page_count() const { return dirty_order_.size(); }

@@ -548,9 +548,10 @@ TEST(ObsIntegrationTest, BaselineModeRegistersMetricsButNoSpans) {
   ASSERT_TRUE(result.all_done);
   ftx_obs::MetricsSnapshot snapshot = computation->metrics().Snapshot();
   EXPECT_EQ(snapshot.TotalCounter("dc.commits"), 0);
-  // Per-process probes are registered even in baseline mode (baseline runs
-  // skip event accounting, so the values stay zero but the names exist).
-  EXPECT_NE(snapshot.Find("p0.dc.events"), nullptr);
+  // Per-process probes are registered in baseline mode too, and baseline
+  // runs count the events they execute.
+  ASSERT_NE(snapshot.Find("p0.dc.events"), nullptr);
+  EXPECT_GT(snapshot.Find("p0.dc.events")->counter, 0);
   EXPECT_GT(snapshot.Find("sim.events_executed")->counter, 0);
   // Baseline runs never commit or recover; only step spans may appear.
   for (const ftx_obs::TraceEvent& event : computation->tracer().events()) {

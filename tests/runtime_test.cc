@@ -408,6 +408,29 @@ TEST(Runtime, BaselineModeDoesNoRecoveryWork) {
   EXPECT_EQ(computation.runtime(0).stats().commit_time.nanos(), 0);
 }
 
+// A baseline process runs every event down the same path as a recoverable
+// one, so a failure-free run counts the same events in both modes.
+TEST(Runtime, BaselineRunCountsTheSameEventsAsRecoverable) {
+  auto run = [](ftx_dc::RuntimeMode mode) {
+    ftx::ComputationOptions options;
+    options.mode = mode;
+    std::vector<std::unique_ptr<ftx_dc::App>> apps;
+    apps.push_back(std::make_unique<CounterApp>());
+    ftx::Computation computation(options, std::move(apps));
+    computation.SetInputScript(0, TokenScript(20));
+    EXPECT_TRUE(computation.Run().all_done);
+    return computation.metrics().Snapshot();
+  };
+  const ftx_obs::MetricsSnapshot baseline = run(ftx_dc::RuntimeMode::kBaseline);
+  const ftx_obs::MetricsSnapshot recoverable = run(ftx_dc::RuntimeMode::kRecoverable);
+  EXPECT_GT(baseline.Find("p0.dc.events")->counter, 0);
+  EXPECT_GT(baseline.Find("p0.dc.nd_events")->counter, 0);
+  for (const char* name : {"p0.dc.events", "p0.dc.nd_events", "p0.dc.visible_events"}) {
+    EXPECT_EQ(baseline.Find(name)->counter, recoverable.Find(name)->counter) << name;
+  }
+  EXPECT_EQ(baseline.Find("p0.dc.commits")->counter, 0);
+}
+
 TEST(Runtime, RecoverableSlowerThanBaseline) {
   ftx::ComputationOptions options;
   options.mode = ftx_dc::RuntimeMode::kBaseline;

@@ -6,6 +6,9 @@
 // quantity.
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -288,7 +291,10 @@ struct FleetRun {
 
 FleetRun RunCrashedFleet(bool telemetry) {
   ftx::ComputationOptions options = FleetOptions();
-  options.timeseries = telemetry;
+  if (telemetry) {
+    // The tsdb is on exactly when it has a file to write.
+    options.timeseries_path = ::testing::TempDir() + "timeseries_test_fleet.jsonl";
+  }
   options.timeseries_options.cadence_ns = 100000;  // 100 us
   options.critical_path = telemetry;
   ftx::Computation computation(options, ftx_apps::MakeFleetApps(SmallFleet()));
@@ -302,6 +308,11 @@ FleetRun RunCrashedFleet(bool telemetry) {
   if (telemetry) {
     run.jsonl = computation.timeseries()->ToJsonl();
     run.critical_path = computation.critical_path()->ToJson().Dump();
+    std::ifstream written(options.timeseries_path);
+    std::stringstream contents;
+    contents << written.rdbuf();
+    EXPECT_EQ(contents.str(), run.jsonl);
+    std::remove(options.timeseries_path.c_str());
   }
   return run;
 }

@@ -1,7 +1,8 @@
 // Tests for the crash-state exploration stack: the sector-granular write
 // journal, the on-disk log image codec, the survivor decoder, RedoLog
-// framing under truncation/corruption, Runtime::Recover's refusal of
-// frankenstates, and a small end-to-end run of the torture engine itself.
+// framing under truncation/corruption, seeded mutation of whole log images,
+// Runtime::Recover's refusal of frankenstates, and a small end-to-end run
+// of the torture engine itself.
 
 #include <algorithm>
 #include <cstring>
@@ -172,6 +173,17 @@ TEST(LogImage, PayloadTruncationRejectedBeforeCrcSeesIt) {
   EXPECT_EQ(ftx_store::DecodeRecord(truncated, 0, &decoded, nullptr), DecodeStatus::kTruncated);
 }
 
+// Valid CRCs with framing that over-claims pages (an encoder bug, not a
+// torn write) must decode as corrupt: Recover() would abort on the record.
+TEST(LogImage, IntactCrcsWithUnwalkableFramingAreCorrupt) {
+  ftx::Rng rng(8);
+  RedoRecord record = MakeRecord(&rng, 2, 1024);
+  ++record.page_count;
+  ftx::Bytes encoded = ftx_store::EncodeRecord(record);
+  RedoRecord decoded;
+  EXPECT_EQ(ftx_store::DecodeRecord(encoded, 0, &decoded, nullptr), DecodeStatus::kCorrupt);
+}
+
 TEST(RedoRecord, ForEachPageRejectsHugeClaimedSizeWithoutOverflow) {
   RedoRecord record;
   ftx::Bytes image(64, 0x5c);
@@ -278,6 +290,120 @@ TEST_P(RedoLogProperty, SurvivorDecodeYieldsExactCommittedPrefix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RedoLogProperty, ::testing::Range<uint64_t>(1, 13));
+
+// --- Seeded mutation of whole log images: the DC-disk decoders read bytes
+// a crashed machine left behind, so every image — bit-flipped, truncated,
+// sectors swapped — must decode to an error or to records recovery can
+// install, never to an abort or undefined behaviour. ---
+
+// Five singleton windows plus one three-record window, journaled and
+// materialized in full.
+ftx::Bytes BuildCommittedImage(ftx::Rng* rng) {
+  RedoLog log;
+  WriteJournal journal;
+  log.AttachJournal(&journal);
+  for (int i = 0; i < 5; ++i) {
+    log.Append(MakeRecord(rng, 1 + static_cast<int>(rng->NextBounded(3)),
+                          512 << rng->NextBounded(4)));
+  }
+  std::vector<RedoRecord> window;
+  for (int i = 0; i < 3; ++i) {
+    window.push_back(MakeRecord(rng, 1 + static_cast<int>(rng->NextBounded(2)), 1024));
+  }
+  log.AppendBatch(std::move(window));
+  int64_t image_bytes = kLogStartOffset;
+  for (const DiskOp& op : journal.ops()) {
+    if (op.kind == DiskOpKind::kSectorWrite) {
+      image_bytes = std::max(image_bytes, op.offset + kSectorBytes);
+    }
+  }
+  return journal.MaterializeImage(journal.ops().size(), image_bytes);
+}
+
+void ExpectInstallable(const RedoRecord& record) {
+  EXPECT_TRUE(record.ValidatePages());
+  int64_t pages = 0;
+  EXPECT_TRUE(record.ForEachPage([&pages](int64_t, const uint8_t*, size_t) { ++pages; }));
+  EXPECT_EQ(pages, record.page_count);
+}
+
+class LogImageMutation : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LogImageMutation, DecodersRejectOrYieldInstallableRecords) {
+  ftx::Rng rng(GetParam());
+  const ftx::Bytes pristine = BuildCommittedImage(&rng);
+  CommitSlot written[2];
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(ftx_store::DecodeCommitSlot(pristine.data() + i * kSectorBytes, kSectorBytes,
+                                            &written[i]));
+  }
+  auto was_written = [&written](const CommitSlot& slot) {
+    for (const CommitSlot& w : written) {
+      if (slot.sequence == w.sequence && slot.log_start == w.log_start &&
+          slot.log_end == w.log_end && slot.start_sequence == w.start_sequence) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  for (int trial = 0; trial < 64; ++trial) {
+    ftx::Bytes image = pristine;
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int m = 0; m < mutations && !image.empty(); ++m) {
+      switch (rng.NextBounded(3)) {
+        case 0:  // bit flip
+          image[rng.NextBounded(image.size())] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+          break;
+        case 1:  // truncation at any byte
+          image.resize(rng.NextBounded(image.size() + 1));
+          break;
+        default: {  // two whole sectors trade places
+          const size_t sectors = image.size() / static_cast<size_t>(kSectorBytes);
+          if (sectors >= 2) {
+            const size_t a = rng.NextBounded(sectors) * kSectorBytes;
+            const size_t b = rng.NextBounded(sectors) * kSectorBytes;
+            if (a != b) {
+              std::swap_ranges(image.begin() + static_cast<std::ptrdiff_t>(a),
+                               image.begin() + static_cast<std::ptrdiff_t>(a + kSectorBytes),
+                               image.begin() + static_cast<std::ptrdiff_t>(b));
+            }
+          }
+          break;
+        }
+      }
+    }
+
+    // A slot decodes only from a whole sector, and only to a slot that was
+    // written: no flip of at most four bits survives its CRC (flips in the
+    // sector's zero padding leave the slot itself intact).
+    CommitSlot slot;
+    EXPECT_FALSE(ftx_store::DecodeCommitSlot(image.data(),
+                                             std::min<size_t>(image.size(), kSectorBytes - 1),
+                                             &slot));
+    for (size_t offset = 0; offset + kSectorBytes <= image.size(); offset += kSectorBytes) {
+      if (ftx_store::DecodeCommitSlot(image.data() + offset, kSectorBytes, &slot)) {
+        EXPECT_TRUE(was_written(slot))
+            << "seed " << GetParam() << " trial " << trial << " sector at " << offset;
+      }
+    }
+
+    ftx_store::SurvivorLog survivor = ftx_store::DecodeSurvivorImage(image);
+    for (size_t i = 0; i < survivor.records.size(); ++i) {
+      EXPECT_EQ(survivor.records[i].sequence, survivor.start_sequence + static_cast<int64_t>(i));
+      ExpectInstallable(survivor.records[i]);
+    }
+    if (survivor.decode_ok) {
+      EXPECT_EQ(static_cast<int64_t>(survivor.records.size()),
+                survivor.last_sequence - survivor.start_sequence + 1);
+    }
+    for (const RedoRecord& record : survivor.tail_records) {
+      ExpectInstallable(record);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LogImageMutation, ::testing::Range<uint64_t>(1, 13));
 
 // Truncating the journaled log rewrites the slot so the survivor decodes
 // only the retained suffix.
