@@ -46,14 +46,6 @@ constexpr FlagSpec kBenchFlags[] = {
      }},
     {"--prof", "PATH", "write a collapsed-stack host-time profile (FlameGraph format)",
      [](BenchOptions* options, const char* value) { options->prof_path = value; }},
-    {"--backend", "NAME", "execution backend: sim, or threads (backend_equiv only)",
-     [](BenchOptions* options, const char* value) {
-       if (std::strcmp(value, "sim") != 0 && std::strcmp(value, "threads") != 0) {
-         std::fprintf(stderr, "invalid --backend: %s (want sim or threads)\n", value);
-         std::exit(2);
-       }
-       options->backend = value;
-     }},
     {"--batch", "N", "group-commit window for DC-disk runs (Fig. 8, torture_commit; 0 = off)",
      [](BenchOptions* options, const char* value) {
        options->batch = std::strtoll(value, nullptr, 10);
@@ -81,15 +73,9 @@ const FlagSpec* FindFlag(const char* name) {
   return nullptr;
 }
 
-// Whether a bench that reads `reads` honours `flag` with `value`.
-bool Honours(const BenchReads& reads, const FlagSpec& flag, const char* value) {
-  if (std::strcmp(flag.name, "--batch") == 0) {
-    return reads.batch;
-  }
-  if (std::strcmp(flag.name, "--backend") == 0) {
-    return reads.threads_backend || std::strcmp(value, "sim") == 0;
-  }
-  return true;
+// Whether a bench that reads `reads` honours `flag`.
+bool Honours(const BenchReads& reads, const FlagSpec& flag) {
+  return reads.batch || std::strcmp(flag.name, "--batch") != 0;
 }
 
 }  // namespace
@@ -124,7 +110,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv, BenchReads reads) {
       value = argv[++i];
     }
     flag->apply(&options, value);
-    if (!Honours(reads, *flag, value)) {
+    if (!Honours(reads, *flag)) {
       std::fprintf(stderr, "%s does not read %s %s\n", argv[0], flag->name, value);
       std::exit(2);
     }

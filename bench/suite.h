@@ -52,9 +52,6 @@ namespace ftx_bench {
 //                  min/median over the samples (simulated rows ignore it)
 //   --prof PATH    write a collapsed-stack host-time profile of the run
 //                  (ftx::prof; FlameGraph / speedscope compatible)
-//   --backend B    execution backend: sim | threads. Every bench runs on the
-//                  simulator; only backend_equiv also runs threads (its
-//                  default runs both and byte-compares)
 //   --batch N      group-commit window size for DC-disk runs (records per
 //                  sync window; 0 or 1 = the one-sync-pair-per-commit path)
 //   --log-level L  error|warning|info|debug (default warning)
@@ -71,7 +68,6 @@ struct BenchOptions {
   bool audit = false;
   int repeat = 1;          // wall-clock repetitions (clamped to >= 1)
   std::string prof_path;   // collapsed-stack profile output; empty = prof off
-  std::string backend;    // "sim" | "threads"; empty = the bench's default
   int64_t batch = 0;      // group-commit window size; <= 1 = batching off
   std::string log_level;  // as given; applied via ftx::SetLogLevel at parse
 };
@@ -79,8 +75,7 @@ struct BenchOptions {
 // The flags only some benches read. A bench names the ones it reads; given
 // to any other bench, they exit 2 instead of being silently ignored.
 struct BenchReads {
-  bool batch = false;            // --batch
-  bool threads_backend = false;  // --backend threads (--backend sim is always true)
+  bool batch = false;  // --batch
 };
 
 BenchOptions ParseBenchOptions(int argc, char** argv, BenchReads reads = {});

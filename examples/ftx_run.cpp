@@ -10,6 +10,11 @@
 //           [--scale N] [--seed N]
 //           [--fail-at-ms T]... [--fail-pid P]
 //           [--check-save-work] [--list-protocols]
+//
+// Exit status: 0 on a completed run whose checks hold; 3 when a check fails
+// (consistency INCONSISTENT or save-work VIOLATED); otherwise 1 when the run
+// did not complete or --trace/--metrics could not be written; 2 on a usage
+// error.
 
 #include <cstdio>
 #include <cstdlib>
@@ -97,7 +102,9 @@ void Usage() {
       "               [--fail-at-ms T]... [--fail-pid P]\n"
       "               [--check-save-work] [--list-protocols]\n"
       "               [--summarize-trace] [--dump-trace N]\n"
-      "               [--trace FILE.json] [--metrics FILE.json]\n");
+      "               [--trace FILE.json] [--metrics FILE.json]\n"
+      "exit: 0 ok, 1 incomplete run or unwritable output, 2 usage,\n"
+      "      3 consistency INCONSISTENT or save-work VIOLATED\n");
 }
 
 }  // namespace
@@ -141,6 +148,8 @@ int main(int argc, char** argv) {
   }
   ftx::ComputationResult result = computation->Run();
   ftx::RunOutput run = ftx::Collect(*computation, result);
+  bool checks_hold = true;
+  bool outputs_written = result.trace_written.ok();
 
   std::printf("workload   : %s (scale %d, seed %llu, %d process%s)\n", args.workload.c_str(),
               spec.scale > 0 ? spec.scale : ftx_apps::DefaultScale(args.workload, false),
@@ -181,6 +190,7 @@ int main(int argc, char** argv) {
                 consistency.duplicates_tolerated);
     if (!consistency.consistent) {
       std::printf("             %s\n", consistency.diagnostic.c_str());
+      checks_hold = false;
     }
   }
 
@@ -190,6 +200,7 @@ int main(int argc, char** argv) {
     if (!report.ok()) {
       std::printf(" (%zu violations; first: %s)", report.violations.size(),
                   report.violations[0].ToString(computation->trace()).c_str());
+      checks_hold = false;
     }
     std::printf("\n");
   }
@@ -200,6 +211,7 @@ int main(int argc, char** argv) {
     std::FILE* f = std::fopen(args.metrics_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write metrics to %s\n", args.metrics_path.c_str());
+      outputs_written = false;
     } else {
       std::string json = computation->metrics().ToJsonString();
       std::fwrite(json.data(), 1, json.size(), f);
@@ -217,5 +229,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(args.dump_trace),
                 ftx_sm::FormatTrace(computation->trace(), format).c_str());
   }
-  return result.all_done ? 0 : 1;
+  if (!checks_hold) {
+    return 3;
+  }
+  return result.all_done && outputs_written ? 0 : 1;
 }

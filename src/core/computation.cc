@@ -22,11 +22,7 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
 
   sim_ = std::make_unique<ftx_sim::Simulator>(options_.seed);
   network_ = std::make_unique<ftx_sim::Network>(sim_.get(), n);
-  // The runtimes consume the simulator/network only through the env::sim
-  // adapters (pure forwarding — the Computation runner IS the sim backend).
-  env_clock_ = std::make_unique<ftx::env::SimClock>(sim_.get());
-  env_transport_ = std::make_unique<ftx::env::SimTransport>(network_.get());
-  kernel_ = std::make_unique<ftx_sim::KernelSim>(env_clock_.get(), n);
+  kernel_ = std::make_unique<ftx_sim::KernelSim>(sim_.get(), n);
   // The audit needs full vector clocks, so it overrides lean_trace.
   ftx_sm::TraceOptions trace_options;
   trace_options.record_clocks = !options_.lean_trace || options_.audit;
@@ -145,9 +141,9 @@ Computation::Computation(ComputationOptions options, std::vector<std::unique_ptr
       commit_pipelines_.push_back(nullptr);
     }
 
-    ftx::env::Environment env;
-    env.clock = env_clock_.get();
-    env.transport = env_transport_.get();
+    ftx_dc::Environment env;
+    env.sim = sim_.get();
+    env.network = network_.get();
     env.kernel = kernel_.get();
     env.trace = recoverable ? trace_.get() : nullptr;
     env.recorder = &recorder_;
@@ -494,10 +490,10 @@ ComputationResult Computation::Run() {
   result.end_time = end;
 
   if (!options_.trace_path.empty()) {
-    Status status = tracer_.WriteChromeTrace(options_.trace_path);
-    if (!status.ok()) {
+    result.trace_written = tracer_.WriteChromeTrace(options_.trace_path);
+    if (!result.trace_written.ok()) {
       FTX_LOG(kWarning, "failed to write trace to %s: %s", options_.trace_path.c_str(),
-              status.ToString().c_str());
+              result.trace_written.ToString().c_str());
     } else {
       FTX_LOG(kInfo, "wrote %zu trace events to %s", tracer_.size(),
               options_.trace_path.c_str());

@@ -20,7 +20,6 @@
 
 #include "src/checkpoint/app.h"
 #include "src/checkpoint/runtime.h"
-#include "src/env/sim_env.h"
 #include "src/obs/causal/audit.h"
 #include "src/obs/causal/critical_path.h"
 #include "src/obs/metrics.h"
@@ -122,6 +121,8 @@ struct ComputationResult {
   int64_t total_rollbacks = 0;
   std::vector<ftx_dc::RuntimeStats> per_process;
   std::vector<TimePoint> done_times;  // zero TimePoint when not done
+  // Whether the trace_path file was written (ok when no trace was asked for).
+  Status trace_written;
 };
 
 class Computation {
@@ -217,9 +218,6 @@ class Computation {
 
   std::unique_ptr<ftx_sim::Simulator> sim_;
   std::unique_ptr<ftx_sim::Network> network_;
-  // env::sim adapters the runtimes consume the simulator/network through.
-  std::unique_ptr<ftx::env::SimClock> env_clock_;
-  std::unique_ptr<ftx::env::SimTransport> env_transport_;
   std::unique_ptr<ftx_sim::KernelSim> kernel_;
   std::unique_ptr<ftx_sm::Trace> trace_;
   ftx_rec::OutputRecorder recorder_;

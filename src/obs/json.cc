@@ -1,6 +1,7 @@
 #include "src/obs/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -175,9 +176,14 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
+// Deeper documents are rejected rather than recursed into: the parser
+// recurses once per level, and every emitter nests a handful of levels.
+constexpr int kMaxDepth = 512;
+
 struct Parser {
   std::string_view text;
   size_t pos = 0;
+  int depth = 0;
   std::string error{};
 
   bool Fail(const std::string& message) {
@@ -208,11 +214,14 @@ struct Parser {
       return Fail("unexpected end of input");
     }
     char c = text[pos];
-    if (c == '{') {
-      return ParseObject(out);
-    }
-    if (c == '[') {
-      return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) {
+        return Fail("document nested too deeply");
+      }
+      ++depth;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth;
+      return ok;
     }
     if (c == '"') {
       std::string s;
@@ -324,40 +333,54 @@ struct Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseNumber(Json* out) {
-    size_t start = pos;
-    if (Consume('-')) {
-    }
+  // Skips a run of decimal digits; returns how many there were.
+  size_t SkipDigits() {
+    const size_t from = pos;
     while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
       ++pos;
     }
-    bool is_int = true;
-    if (pos < text.size() && (text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E')) {
-      is_int = false;
-      if (Consume('.')) {
-        while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-          ++pos;
-        }
-      }
-      if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-        ++pos;
-        if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) {
-          ++pos;
-        }
-        while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-          ++pos;
-        }
-      }
-    }
-    if (pos == start || (pos == start + 1 && text[start] == '-')) {
+    return pos - from;
+  }
+
+  // A number as the JSON grammar has it: -?(0|[1-9][0-9]*)(.[0-9]+)?
+  // ([eE][+-]?[0-9]+)?. An integer outside int64 becomes a double.
+  bool ParseNumber(Json* out) {
+    const size_t start = pos;
+    Consume('-');
+    const size_t int_digits = SkipDigits();
+    if (int_digits == 0) {
       return Fail("expected a value");
     }
-    std::string token(text.substr(start, pos - start));
-    if (is_int) {
-      *out = Json(static_cast<int64_t>(std::strtoll(token.c_str(), nullptr, 10)));
-    } else {
-      *out = Json(std::strtod(token.c_str(), nullptr));
+    if (int_digits > 1 && text[pos - int_digits] == '0') {
+      return Fail("leading zero in number");
     }
+    bool is_int = true;
+    if (Consume('.')) {
+      is_int = false;
+      if (SkipDigits() == 0) {
+        return Fail("expected a digit after '.'");
+      }
+    }
+    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+      is_int = false;
+      ++pos;
+      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) {
+        ++pos;
+      }
+      if (SkipDigits() == 0) {
+        return Fail("expected a digit in the exponent");
+      }
+    }
+    const std::string token(text.substr(start, pos - start));
+    if (is_int) {
+      errno = 0;
+      const long long value = std::strtoll(token.c_str(), nullptr, 10);
+      if (errno != ERANGE) {
+        *out = Json(static_cast<int64_t>(value));
+        return true;
+      }
+    }
+    *out = Json(std::strtod(token.c_str(), nullptr));
     return true;
   }
 

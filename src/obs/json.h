@@ -73,7 +73,9 @@ class Json {
   // indent > 0 pretty-prints with that many spaces per level.
   std::string Dump(int indent = 0) const;
 
-  // Strict parse of a complete JSON document (trailing garbage rejected).
+  // Strict parse of a complete JSON document: trailing garbage, numbers
+  // outside the JSON grammar and nesting deeper than 512 levels are
+  // rejected with a message in *error.
   static bool Parse(std::string_view text, Json* out, std::string* error = nullptr);
 
  private:

@@ -1,9 +1,9 @@
 // 2PC participant selection: which processes a coordinated commit spans.
 //
-// Every executor of the coordinated protocols — the runtime-backed
-// Computation, the pure-protocol ScriptReplay and the cross-backend
-// ScriptExecutor — picks a round's participants with the one function here,
-// so the three cannot drift apart. It works over any number of processes.
+// Both executors of the coordinated protocols — the runtime-backed
+// Computation and the pure-protocol ScriptReplay — pick a round's
+// participants with the one function here, so the two cannot drift apart.
+// It works over any number of processes.
 
 #ifndef FTX_SRC_PROTOCOL_COORDINATION_H_
 #define FTX_SRC_PROTOCOL_COORDINATION_H_

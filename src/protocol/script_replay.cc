@@ -9,7 +9,10 @@
 #include "src/protocol/protocol.h"
 
 namespace ftx_proto {
+namespace {
 
+// The application event a scripted event stands for (a scripted fixed-ND
+// event models user input).
 AppEvent ToAppEvent(ftx_sm::EventKind kind) {
   switch (kind) {
     case ftx_sm::EventKind::kTransientNd:
@@ -26,8 +29,6 @@ AppEvent ToAppEvent(ftx_sm::EventKind kind) {
       return AppEvent::kInternal;
   }
 }
-
-namespace {
 
 class Replayer {
  public:

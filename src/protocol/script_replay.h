@@ -25,11 +25,6 @@ struct ScriptReplayResult {
   explicit ScriptReplayResult(int num_processes) : trace(num_processes) {}
 };
 
-// The application event a scripted event stands for (a scripted fixed-ND
-// event models user input). Shared by ReplayScript and the cross-backend
-// ScriptExecutor (src/env/script_runner.cc).
-AppEvent ToAppEvent(ftx_sm::EventKind kind);
-
 // Replays `script` (a valid execution order; see MakeRandomScript) under
 // the named protocol, one instance per process. Coordinated commits emit
 // the full 2PC round (prepare/ack messages marked recovery-internal, all

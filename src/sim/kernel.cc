@@ -6,12 +6,12 @@
 
 namespace ftx_sim {
 
-KernelSim::KernelSim(ftx::env::Clock* clock, int num_processes, KernelLimits limits)
-    : clock_(clock),
+KernelSim::KernelSim(Simulator* sim, int num_processes, KernelLimits limits)
+    : sim_(sim),
       limits_(limits),
       states_(static_cast<size_t>(num_processes)),
       records_(static_cast<size_t>(num_processes)) {
-  FTX_CHECK(clock != nullptr);
+  FTX_CHECK(sim != nullptr);
   FTX_CHECK_GT(num_processes, 0);
 }
 
@@ -170,11 +170,10 @@ ftx::TimePoint KernelSim::GetTimeOfDay(int pid) {
   Index(pid);  // a bad pid aborts here as in every other syscall
   ++syscalls_;
   // The perturbation models clock-read granularity; more importantly it is
-  // drawn from the clock's noise stream (the simulator's RNG under env::sim),
-  // so a reexecuting process sees a different value — the definition of a
-  // transient ND event.
-  int64_t noise = static_cast<int64_t>(clock_->NextNoise(1000));
-  return clock_->Now() + ftx::Nanoseconds(noise);
+  // drawn from the simulator's RNG stream, so a reexecuting process sees a
+  // different value — the definition of a transient ND event.
+  int64_t noise = static_cast<int64_t>(sim_->rng().NextBounded(1000));
+  return sim_->Now() + ftx::Nanoseconds(noise);
 }
 
 ftx::Status KernelSim::ReconstructFor(int pid, size_t record_count) {

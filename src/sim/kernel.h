@@ -30,8 +30,8 @@
 
 #include "src/common/status.h"
 #include "src/common/sim_time.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
+#include "src/sim/simulator.h"
 
 namespace ftx_sim {
 
@@ -73,9 +73,9 @@ struct KernelLimits {
 
 class KernelSim {
  public:
-  // The kernel is backend-agnostic: it only needs a clock (time-of-day and
-  // its transient-ND perturbation source), not the simulator itself.
-  KernelSim(ftx::env::Clock* clock, int num_processes, KernelLimits limits = {});
+  // The simulator supplies the time of day and, from its RNG stream, the
+  // transient-ND perturbation.
+  KernelSim(Simulator* sim, int num_processes, KernelLimits limits = {});
 
   // --- syscalls (all record into the process's replay log) ---
 
@@ -116,7 +116,7 @@ class KernelSim {
   // [0, num_processes)).
   size_t Index(int pid) const;
 
-  ftx::env::Clock* clock_;
+  Simulator* sim_;
   KernelLimits limits_;
   int64_t syscalls_ = 0;
   int64_t reconstructions_ = 0;

@@ -24,15 +24,20 @@
 
 #include "src/common/bytes.h"
 #include "src/common/sim_time.h"
-#include "src/env/env.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace ftx_sim {
 
-// The message type now lives on the backend-agnostic seam
-// (src/env/env.h); this alias keeps existing code compiling unchanged.
-using Message = ftx::env::Message;
+// A message in flight or delivered.
+struct Message {
+  int64_t id = -1;
+  int src = -1;
+  int dst = -1;
+  ftx::Bytes payload;
+  ftx::TimePoint sent_at;
+  ftx::TimePoint delivered_at;
+};
 
 struct NetworkOptions {
   ftx::Duration base_latency = ftx::Microseconds(50);

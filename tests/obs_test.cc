@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/computation.h"
 #include "src/core/experiment.h"
 #include "src/obs/json.h"
@@ -79,6 +80,30 @@ TEST(JsonTest, ParseRejectsMalformedDocuments) {
   std::string error;
   EXPECT_FALSE(Json::Parse("{\"a\":}", &out, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(JsonTest, ParseFollowsTheNumberGrammar) {
+  Json out;
+  for (const char* bad : {".", "-", "e5", "1.", "1.e5", "-.5", "01", "-01", "1e", "1e+"}) {
+    std::string error;
+    EXPECT_FALSE(Json::Parse(bad, &out, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  ASSERT_TRUE(Json::Parse("[0,-0,0.5,-1.25e-3,1E+2,9223372036854775807]", &out));
+  EXPECT_EQ(out.at(5).integer(), INT64_MAX);
+  // An integer outside int64 keeps its magnitude as a double.
+  ASSERT_TRUE(Json::Parse("-92233720368547758080", &out));
+  EXPECT_DOUBLE_EQ(out.number(), -9.2233720368547758e19);
+}
+
+TEST(JsonTest, ParseRejectsDeepNestingWithoutRecursingIntoIt) {
+  Json out;
+  std::string error;
+  EXPECT_FALSE(Json::Parse(std::string(100000, '['), &out, &error));
+  EXPECT_NE(error.find("nested too deeply"), std::string::npos) << error;
+  const std::string at_limit = std::string(512, '[') + std::string(512, ']');
+  EXPECT_TRUE(Json::Parse(at_limit, &out));
+  EXPECT_FALSE(Json::Parse("[" + at_limit + "]", &out));
 }
 
 TEST(JsonTest, ParseRoundTripsNestedDocument) {
@@ -568,5 +593,80 @@ TEST(ObsIntegrationTest, RunOutputCarriesMetricsSnapshot) {
   ftx::RunOutput output = ftx::RunExperiment(spec);
   EXPECT_EQ(output.metrics.TotalCounter("dc.commits"), output.checkpoints);
 }
+
+// --- parser mutation ---
+
+// Real documents the layer emits: the metrics registry and the Chrome
+// trace of an audited, traced postgres run with a stop failure.
+const std::vector<std::string>& EmittedDocuments() {
+  static const std::vector<std::string> documents = [] {
+    ftx::RunSpec spec;
+    spec.workload = "postgres";
+    spec.protocol = "cpvs";
+    spec.scale = 20;
+    spec.audit = true;
+    auto computation = ftx::BuildComputation(spec);
+    computation->tracer().SetEnabled(true);
+    computation->ScheduleStopFailure(0, ftx::TimePoint() + ftx::Milliseconds(2));
+    const ftx::ComputationResult result = computation->Run();
+    EXPECT_GT(result.total_rollbacks, 0);
+    return std::vector<std::string>{computation->metrics().ToJsonString(),
+                                    computation->tracer().ToChromeTraceJson()};
+  }();
+  return documents;
+}
+
+class JsonMutation : public ::testing::TestWithParam<uint64_t> {};
+
+// Bit flips, truncations and byte splices of emitted documents: each
+// result either fails to parse with an error, or parses to a value whose
+// dump re-parses to the same value. Nothing aborts.
+TEST_P(JsonMutation, ParseRejectsOrRoundTrips) {
+  ftx::Rng rng(GetParam());
+  const std::vector<std::string>& documents = EmittedDocuments();
+  for (const std::string& pristine : documents) {
+    Json parsed;
+    ASSERT_TRUE(Json::Parse(pristine, &parsed));
+  }
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::string& source = documents[rng.NextBounded(documents.size())];
+    std::string text = source;
+    const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int m = 0; m < mutations && !text.empty(); ++m) {
+      switch (rng.NextBounded(3)) {
+        case 0:  // bit flip
+          text[rng.NextBounded(text.size())] ^= static_cast<char>(1u << rng.NextBounded(8));
+          break;
+        case 1:  // truncation at any byte
+          text.resize(rng.NextBounded(text.size() + 1));
+          break;
+        default: {  // a span of some document replaces a span of this one
+          const std::string& donor = documents[rng.NextBounded(documents.size())];
+          const size_t from = rng.NextBounded(donor.size());
+          const std::string piece = donor.substr(from, rng.NextBounded(64));
+          const size_t at = rng.NextBounded(text.size() + 1);
+          text.replace(at, rng.NextBounded(64), piece);
+          break;
+        }
+      }
+    }
+
+    Json value;
+    std::string error;
+    if (!Json::Parse(text, &value, &error)) {
+      EXPECT_FALSE(error.empty()) << "seed " << GetParam() << " trial " << trial;
+      continue;
+    }
+    for (int indent : {0, 2}) {
+      const std::string dumped = value.Dump(indent);
+      Json again;
+      ASSERT_TRUE(Json::Parse(dumped, &again, &error))
+          << "seed " << GetParam() << " trial " << trial << ": " << error;
+      EXPECT_EQ(again.Dump(indent), dumped) << "seed " << GetParam() << " trial " << trial;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonMutation, ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace

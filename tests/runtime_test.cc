@@ -1,8 +1,12 @@
 // Tests for the Discount Checking runtime: commit/rollback round trips,
 // kernel-state reconstruction, ND-log replay, DC-disk redo recovery, and
-// cost accounting — driven through a purpose-built test application.
+// cost accounting — driven through a purpose-built test application — and
+// the constructor's check of every required Environment field.
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -451,6 +455,101 @@ TEST(Runtime, RecoverableSlowerThanBaseline) {
 
   EXPECT_GT((rec.end_time - ftx::TimePoint()).nanos(),
             (base.end_time - ftx::TimePoint()).nanos());
+}
+
+// --- Environment: the constructor checks every required dependency ---
+
+// A full set of valid dependencies for the Runtime-constructor tests.
+struct EnvFixture {
+  ftx_sim::Simulator sim{1};
+  ftx_sim::Network network{&sim, 3};
+  ftx_sim::KernelSim kernel{&sim, 3};
+  ftx_rec::OutputRecorder recorder;
+  ftx_sm::Trace trace{3};
+  ftx_store::RioStore store;
+  ftx_store::RedoLog redo_log;
+  ftx_store::CommitPipeline pipeline{&redo_log, ftx_store::BatchPolicy{}};
+
+  // Every field a recoverable Rio runtime requires.
+  ftx_dc::Environment Recoverable() {
+    ftx_dc::Environment env;
+    env.sim = &sim;
+    env.network = &network;
+    env.kernel = &kernel;
+    env.recorder = &recorder;
+    env.trace = &trace;
+    env.store = &store;
+    return env;
+  }
+};
+
+class IdleApp : public ftx_dc::App {
+ public:
+  std::string_view name() const override { return "idle"; }
+  size_t SegmentBytes() const override { return 16 * 1024; }
+  void Init(ftx_dc::ProcessEnv& env) override { (void)env; }
+  ftx_dc::StepOutcome Step(ftx_dc::ProcessEnv& env) override {
+    (void)env;
+    return {ftx_dc::StepOutcome::Status::kDone, ftx::Duration()};
+  }
+};
+
+void MakeRuntime(ftx_dc::Environment env, ftx_dc::RuntimeMode mode) {
+  IdleApp app;
+  std::unique_ptr<ftx_proto::Protocol> protocol;
+  if (mode == ftx_dc::RuntimeMode::kRecoverable) {
+    protocol = ftx_proto::MakeProtocolByName("cpvs");
+  }
+  ftx_dc::Runtime runtime(0, 3, &app, std::move(protocol), std::move(env), mode);
+}
+
+TEST(RuntimeEnv, ConstructsWithEveryRequiredDependency) {
+  EnvFixture fx;
+  ftx_dc::Environment baseline = fx.Recoverable();
+  baseline.trace = nullptr;  // optional without recovery
+  baseline.store = nullptr;
+  MakeRuntime(baseline, ftx_dc::RuntimeMode::kBaseline);
+  MakeRuntime(fx.Recoverable(), ftx_dc::RuntimeMode::kRecoverable);
+  ftx_dc::Environment disk = fx.Recoverable();
+  disk.redo_log = &fx.redo_log;
+  disk.commit_pipeline = &fx.pipeline;
+  MakeRuntime(disk, ftx_dc::RuntimeMode::kRecoverable);
+}
+
+TEST(RuntimeEnvDeathTest, NamesEachMissingRequiredField) {
+  EnvFixture fx;
+  const std::pair<const char*, void (*)(ftx_dc::Environment&)> cases[] = {
+      {"sim", [](ftx_dc::Environment& env) { env.sim = nullptr; }},
+      {"network", [](ftx_dc::Environment& env) { env.network = nullptr; }},
+      {"kernel", [](ftx_dc::Environment& env) { env.kernel = nullptr; }},
+      {"recorder", [](ftx_dc::Environment& env) { env.recorder = nullptr; }},
+  };
+  for (const auto& [field, clear] : cases) {
+    ftx_dc::Environment env = fx.Recoverable();
+    clear(env);
+    EXPECT_DEATH(MakeRuntime(env, ftx_dc::RuntimeMode::kBaseline),
+                 std::string("missing required dependency '") + field + "'");
+  }
+}
+
+TEST(RuntimeEnvDeathTest, RecoverableModeAdditionallyRequiresTraceAndStore) {
+  EnvFixture fx;
+  ftx_dc::Environment no_trace = fx.Recoverable();
+  no_trace.trace = nullptr;
+  EXPECT_DEATH(MakeRuntime(no_trace, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'trace'");
+  ftx_dc::Environment no_store = fx.Recoverable();
+  no_store.store = nullptr;
+  EXPECT_DEATH(MakeRuntime(no_store, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'store'");
+}
+
+TEST(RuntimeEnvDeathTest, DcDiskRequiresCommitPipeline) {
+  EnvFixture fx;
+  ftx_dc::Environment env = fx.Recoverable();
+  env.redo_log = &fx.redo_log;
+  EXPECT_DEATH(MakeRuntime(env, ftx_dc::RuntimeMode::kRecoverable),
+               "requires dependency 'commit_pipeline'");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/env/sim_env.h"
 #include "src/sim/kernel.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -210,8 +209,7 @@ TEST(Network, TransitTimeGrowsWithSize) {
 
 TEST(Kernel, OpenAssignsLowestFreeFd) {
   Simulator sim(1);
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
   auto fd0 = kernel.Open(0, "a", false);
   auto fd1 = kernel.Open(0, "b", true);
   ASSERT_TRUE(fd0.ok());
@@ -228,8 +226,7 @@ TEST(Kernel, OpenFailsWhenTableFull) {
   Simulator sim(1);
   ftx_sim::KernelLimits limits;
   limits.max_open_files = 2;
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1, limits);
+  KernelSim kernel(&sim, 1, limits);
   ASSERT_TRUE(kernel.Open(0, "a", false).ok());
   ASSERT_TRUE(kernel.Open(0, "b", false).ok());
   auto fd = kernel.Open(0, "c", false);
@@ -242,8 +239,7 @@ TEST(Kernel, WriteConsumesDiskAndFailsWhenFull) {
   ftx_sim::KernelLimits limits;
   limits.disk_blocks_total = 2;
   limits.block_size = 4096;
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1, limits);
+  KernelSim kernel(&sim, 1, limits);
   auto fd = kernel.Open(0, "f", true);
   ASSERT_TRUE(fd.ok());
   EXPECT_TRUE(kernel.Write(0, *fd, 4096).ok());
@@ -255,8 +251,7 @@ TEST(Kernel, WriteConsumesDiskAndFailsWhenFull) {
 
 TEST(Kernel, WriteToReadOnlyFails) {
   Simulator sim(1);
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
   auto fd = kernel.Open(0, "f", /*writable=*/false);
   ASSERT_TRUE(fd.ok());
   EXPECT_FALSE(kernel.Write(0, *fd, 100).ok());
@@ -264,16 +259,14 @@ TEST(Kernel, WriteToReadOnlyFails) {
 
 TEST(Kernel, BindRejectsDuplicatePort) {
   Simulator sim(1);
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
   EXPECT_TRUE(kernel.Bind(0, 8080).ok());
   EXPECT_FALSE(kernel.Bind(0, 8080).ok());
 }
 
 TEST(Kernel, GetTimeOfDayIsTransientNd) {
   Simulator sim(1);
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
   // Two reads at the same simulated instant still differ (RNG
   // perturbation): the transient non-determinism the theory relies on.
   ftx::TimePoint a = kernel.GetTimeOfDay(0);
@@ -283,8 +276,7 @@ TEST(Kernel, GetTimeOfDayIsTransientNd) {
 
 TEST(Kernel, ReconstructionReplaysToIdenticalState) {
   Simulator sim(1);
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
   ASSERT_TRUE(kernel.Open(0, "log", true).ok());
   ASSERT_TRUE(kernel.Bind(0, 9000).ok());
   ASSERT_TRUE(kernel.Write(0, 0, 10000).ok());
@@ -309,8 +301,7 @@ class KernelReplayProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(KernelReplayProperty, RandomHistoriesReplayExactly) {
   ftx::Rng rng(GetParam());
   Simulator sim(GetParam());
-  ftx::env::SimClock clock(&sim);
-  KernelSim kernel(&clock, 1);
+  KernelSim kernel(&sim, 1);
 
   std::vector<int> open_fds;
   std::vector<size_t> capture_points;

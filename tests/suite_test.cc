@@ -22,7 +22,7 @@ TEST(BenchUsage, GeneratedTextCoversEveryFlag) {
   // doc edited without its flag) fails here.
   for (const char* needle : {"--full", "--scale N", "--jobs N", "--seed S", "--json PATH",
                              "--trace PATH", "--audit", "--log-level LEVEL", "--repeat N",
-                             "--prof PATH", "--backend NAME", "--batch N"}) {
+                             "--prof PATH", "--batch N"}) {
     EXPECT_NE(usage.find(needle), std::string::npos) << "missing from usage: " << needle;
   }
   EXPECT_NE(usage.find("live causal audit"), std::string::npos);
@@ -33,10 +33,9 @@ TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   const char* argv[] = {"bench",  "--full", "--scale",     "40",   "--jobs", "3",
                         "--seed", "99",     "--json",      "r.json", "--trace", "t.json",
                         "--audit", "--log-level", "debug", "--repeat", "5",
-                        "--prof", "p.collapsed", "--backend", "threads", "--batch", "8"};
+                        "--prof", "p.collapsed", "--batch", "8"};
   ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(
-      static_cast<int>(std::size(argv)), const_cast<char**>(argv),
-      {.batch = true, .threads_backend = true});
+      static_cast<int>(std::size(argv)), const_cast<char**>(argv), {.batch = true});
   EXPECT_TRUE(options.full_scale);
   EXPECT_EQ(options.scale_override, 40);
   EXPECT_EQ(options.jobs, 3);
@@ -47,7 +46,6 @@ TEST(BenchUsage, ParseFillsOptionsFromArgv) {
   EXPECT_EQ(options.log_level, "debug");
   EXPECT_EQ(options.repeat, 5);
   EXPECT_EQ(options.prof_path, "p.collapsed");
-  EXPECT_EQ(options.backend, "threads");
   EXPECT_EQ(options.batch, 8);
   EXPECT_EQ(ftx::GetLogLevel(), ftx::LogLevel::kDebug);
   ftx::SetLogLevel(ftx::LogLevel::kWarning);  // restore the default
@@ -67,31 +65,23 @@ TEST(BenchUsage, DefaultsLeaveEverythingOff) {
   EXPECT_TRUE(options.log_level.empty());
   EXPECT_EQ(options.repeat, 1);
   EXPECT_TRUE(options.prof_path.empty());
-  EXPECT_TRUE(options.backend.empty());
   EXPECT_EQ(options.batch, 0);
 }
 
 // A flag the bench does not read exits 2 naming it, instead of being
-// silently ignored (fig8_nvi --backend threads would otherwise run the
-// simulator; fleet_faults --batch 8 would run unbatched).
+// silently ignored (fleet_faults --batch 8 would otherwise run unbatched).
 TEST(BenchUsageDeathTest, UnreadFlagsAreRejected) {
-  const char* backend[] = {"fig8_nvi", "--backend", "threads"};
-  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(backend), {.batch = true}),
-              testing::ExitedWithCode(2), "fig8_nvi does not read --backend threads");
   const char* batch[] = {"fleet_faults", "--batch", "8"};
   EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(batch)),
               testing::ExitedWithCode(2), "fleet_faults does not read --batch 8");
-  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(batch),
-                                           {.threads_backend = true}),
-              testing::ExitedWithCode(2), "does not read --batch");
 }
 
-// Every bench runs on the simulator, so --backend sim states a fact and is
-// accepted everywhere.
-TEST(BenchUsage, BackendSimIsAcceptedByEveryBench) {
+// Every bench runs on the simulator, the only execution backend, so there
+// is no --backend flag: it exits 2 like any other unknown argument.
+TEST(BenchUsageDeathTest, BackendFlagIsUnknown) {
   const char* argv[] = {"fleet_faults", "--backend", "sim"};
-  ftx_bench::BenchOptions options = ftx_bench::ParseBenchOptions(3, const_cast<char**>(argv));
-  EXPECT_EQ(options.backend, "sim");
+  EXPECT_EXIT(ftx_bench::ParseBenchOptions(3, const_cast<char**>(argv)),
+              testing::ExitedWithCode(2), "unknown argument: --backend");
 }
 
 TEST(LogLevelParse, AcceptsNamesAliasesAndDigits) {
